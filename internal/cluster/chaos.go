@@ -17,14 +17,15 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/levelarray/levelarray/internal/rng"
+	"github.com/levelarray/levelarray/internal/server"
 	"github.com/levelarray/levelarray/internal/trace"
 )
 
@@ -139,6 +140,10 @@ type ChaosReport struct {
 	Crashes     uint64        `json:"crashes"`
 	FullRetries uint64        `json:"full_retries"`
 	Elapsed     time.Duration `json:"elapsed_ns"`
+	// WindowOps counts the verified operations completed inside Elapsed:
+	// the adoption probe's grants and releases and the stale-token probes
+	// that finish after the last client are left out.
+	WindowOps uint64 `json:"window_ops"`
 
 	AcquireP50 time.Duration `json:"acquire_p50_ns"`
 	AcquireP90 time.Duration `json:"acquire_p90_ns"`
@@ -262,12 +267,13 @@ func (r ChaosReport) Ops() uint64 {
 	return r.Acquires + r.Renews + r.Releases + r.StaleRejected
 }
 
-// Throughput returns verified operations per second of the main phase.
+// Throughput returns the verified operations per second completed inside
+// the main phase.
 func (r ChaosReport) Throughput() float64 {
 	if r.Elapsed <= 0 {
 		return 0
 	}
-	return float64(r.Acquires+r.Renews+r.Releases) / r.Elapsed.Seconds()
+	return float64(r.WindowOps) / r.Elapsed.Seconds()
 }
 
 // Violations lists every broken cluster-contract invariant, nil when clean.
@@ -972,6 +978,7 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	}
 	wg.Wait()
 	report.Elapsed = time.Since(start)
+	report.WindowOps = led.acquires.Load() + led.renews.Load() + led.releases.Load() + led.staleRejected.Load()
 	close(killStop)
 	<-killDone
 	<-growDone
@@ -1058,10 +1065,10 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 		report.MigrationsAborted += s.Migrations.Aborted
 	}
 
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	report.AcquireP50 = chaosPercentile(latencies, 0.50)
-	report.AcquireP90 = chaosPercentile(latencies, 0.90)
-	report.AcquireP99 = chaosPercentile(latencies, 0.99)
+	slices.Sort(latencies)
+	report.AcquireP50 = server.Percentile(latencies, 0.50)
+	report.AcquireP90 = server.Percentile(latencies, 0.90)
+	report.AcquireP99 = server.Percentile(latencies, 0.99)
 	if n := len(latencies); n > 0 {
 		report.AcquireMax = latencies[n-1]
 	}
@@ -1098,7 +1105,7 @@ func chaosRound(client *Client, cfg ChaosConfig, led *chaosLedger, gen rng.Sourc
 	}
 	led.onAcquire(g, time.Now())
 
-	chaosHold(cfg, gen)
+	server.Hold(cfg.HoldMean, gen)
 	if cfg.RenewPercent > 0 && gen.Intn(100) < cfg.RenewPercent {
 		renewed, status, err := client.Renew(g.Name, g.Token, ttlMillis)
 		switch {
@@ -1120,7 +1127,7 @@ func chaosRound(client *Client, cfg ChaosConfig, led *chaosLedger, gen rng.Sourc
 		default:
 			led.onRenewOK(g.Name, g.Token, renewed)
 		}
-		chaosHold(cfg, gen)
+		server.Hold(cfg.HoldMean, gen)
 	}
 
 	if cfg.CrashPercent > 0 && gen.Intn(100) < cfg.CrashPercent {
@@ -1276,25 +1283,4 @@ func verifyOrphansFree(client *Client, led *chaosLedger) (int, error) {
 		}
 	}
 	return len(led.unresolvedOrphans()), nil
-}
-
-// chaosHold sleeps for an exponential draw with mean HoldMean, capped at 10x.
-func chaosHold(cfg ChaosConfig, gen rng.Source) {
-	if cfg.HoldMean <= 0 {
-		return
-	}
-	u := float64(gen.Uint64()>>11) / float64(1<<53)
-	d := time.Duration(-float64(cfg.HoldMean) * math.Log(1-u))
-	if d > 10*cfg.HoldMean {
-		d = 10 * cfg.HoldMean
-	}
-	time.Sleep(d)
-}
-
-// chaosPercentile returns the q-quantile of sorted latencies (nearest-rank).
-func chaosPercentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[int(q*float64(len(sorted)-1))]
 }

@@ -324,6 +324,11 @@ func TestChaosRunSurvivesNodeKill(t *testing.T) {
 	if report.FillAcquired == 0 {
 		t.Fatal("adoption probe did not run")
 	}
+	// The adoption probe runs after the timed window: its grants count in
+	// the totals but not in the throughput.
+	if report.WindowOps+report.FillAcquired > report.Ops() {
+		t.Fatalf("window ops %d + %d adoption-probe grants exceed the %d verified ops", report.WindowOps, report.FillAcquired, report.Ops())
+	}
 	// Two survivors over 4 partitions must still serve the whole namespace.
 	if len(report.Nodes) != 2 {
 		t.Fatalf("final stats from %d nodes, want 2", len(report.Nodes))

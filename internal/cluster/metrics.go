@@ -8,14 +8,12 @@ package cluster
 // a label; everything dynamic is read when /metrics is scraped.
 
 import (
-	"net/http"
 	"strconv"
 	"time"
 
 	"github.com/levelarray/levelarray/internal/lease"
 	"github.com/levelarray/levelarray/internal/metrics"
 	"github.com/levelarray/levelarray/internal/server"
-	"github.com/levelarray/levelarray/internal/trace"
 	"github.com/levelarray/levelarray/internal/wal"
 )
 
@@ -122,63 +120,4 @@ func (n *Node) registerMetrics() {
 	walSample("la_wal_checkpoints_total", "Snapshots checkpointed per owned partition.", func(c wal.Counters) uint64 { return c.Checkpoints })
 	walSample("la_wal_replay_records_total", "Log records replayed at open per owned partition.", func(c wal.Counters) uint64 { return c.ReplayRecords })
 	walSample("la_wal_torn_tails_total", "Torn trailing records truncated at open per owned partition.", func(c wal.Counters) uint64 { return c.TornTails })
-}
-
-// countReply bumps the failure counter a deferred reply maps to. The 412/421
-// routing fences are not counted here — their node atomics feed the fence
-// family via FenceFunc, so counting again would double-report.
-func (n *Node) countReply(rep reply) {
-	m := n.cfg.Metrics
-	switch {
-	case rep.leaseErr != nil:
-		m.CountLeaseError(rep.leaseErr)
-	case rep.unavail != "":
-		m.Unavailable(rep.unavail).Inc()
-	case rep.status == http.StatusConflict:
-		if er, ok := rep.body.(server.ErrorResponse); ok {
-			m.Fence(er.Error).Inc()
-		}
-	}
-}
-
-// acquireOp, renewOp and releaseOp wrap the locked operation cores with
-// instrumentation; both the HTTP handlers and the wire backend go through
-// them, so one histogram covers both protocols.
-func (n *Node) acquireOp(ttl time.Duration, sp *trace.Op) reply {
-	m := n.cfg.Metrics
-	if m == nil {
-		return n.acquireLocked(ttl, sp)
-	}
-	start := time.Now()
-	rep := n.acquireLocked(ttl, sp)
-	m.AcquireLatency.ObserveEx(time.Since(start), sp.RID())
-	m.AcquireOps.Inc()
-	n.countReply(rep)
-	return rep
-}
-
-func (n *Node) renewOp(req server.RenewRequest, sp *trace.Op) reply {
-	m := n.cfg.Metrics
-	if m == nil {
-		return n.renewLocked(req, sp)
-	}
-	start := time.Now()
-	rep := n.renewLocked(req, sp)
-	m.RenewLatency.ObserveEx(time.Since(start), sp.RID())
-	m.RenewOps.Inc()
-	n.countReply(rep)
-	return rep
-}
-
-func (n *Node) releaseOp(req server.ReleaseRequest, sp *trace.Op) reply {
-	m := n.cfg.Metrics
-	if m == nil {
-		return n.releaseLocked(req, sp)
-	}
-	start := time.Now()
-	rep := n.releaseLocked(req, sp)
-	m.ReleaseLatency.ObserveEx(time.Since(start), sp.RID())
-	m.ReleaseOps.Inc()
-	n.countReply(rep)
-	return rep
 }

@@ -9,12 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"runtime"
 
 	"github.com/levelarray/levelarray/internal/activity"
 	"github.com/levelarray/levelarray/internal/lease"
@@ -24,10 +21,9 @@ import (
 	"github.com/levelarray/levelarray/internal/wal"
 )
 
-// EpochHeader carries the sender's table epoch on every write. A node whose
-// epoch differs rejects the write with 412, the routing-level analogue of a
-// stale fencing token's 409.
-const EpochHeader = "X-Cluster-Epoch"
+// EpochHeader carries the sender's table epoch on every write; see
+// server.EpochHeader.
+const EpochHeader = server.EpochHeader
 
 // Error codes the cluster node adds to the single-node vocabulary.
 const (
@@ -45,27 +41,13 @@ const (
 	ErrCodeNoPartitions = "no_partitions"
 )
 
-// GrantResponse is the body of a clustered /acquire and /renew: the lease
-// plus where it lives, so clients can route follow-ups and account sessions
-// per node.
-type GrantResponse struct {
-	Name  int    `json:"name"`
-	Token uint64 `json:"token"`
-	// DeadlineUnixMillis is the lease deadline (always finite in cluster
-	// mode: the quarantine discipline needs every lease TTL-bounded).
-	DeadlineUnixMillis int64  `json:"deadline_unix_ms"`
-	NodeID             int    `json:"node_id"`
-	Partition          int    `json:"partition"`
-	Epoch              uint64 `json:"epoch"`
-}
+// GrantResponse is the body of a clustered /acquire and /renew; see
+// server.GrantResponse.
+type GrantResponse = server.GrantResponse
 
-// EpochResponse is the body of a 412 and of POST /cluster replies: the
-// node's current epoch, so the peer knows how far behind it is.
-type EpochResponse struct {
-	Error   string `json:"error,omitempty"`
-	Adopted bool   `json:"adopted,omitempty"`
-	Epoch   uint64 `json:"epoch"`
-}
+// EpochResponse is the body of a 412, a 421 and of POST /cluster replies;
+// see server.EpochResponse.
+type EpochResponse = server.EpochResponse
 
 // HealthResponse is the body of a clustered /healthz. Epoch rides along so
 // the health probes that drive failure detection double as the anti-entropy
@@ -372,9 +354,9 @@ func (part *partition) close(n *Node, epoch uint64, clean bool) {
 // Node is one cluster member: the owned partitions, the membership table,
 // and the HTTP API. Build it with NewNode, then Start it.
 type Node struct {
-	cfg NodeConfig
-	mux *http.ServeMux
-	h   http.Handler
+	cfg  NodeConfig
+	h    http.Handler
+	wire *server.WireBackend
 
 	// events is the control-plane journal (never nil after NewNode);
 	// ownEvents marks a journal the node built itself and must close.
@@ -692,30 +674,21 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	n.rebuildOwnedLocked()
 
-	n.mux = http.NewServeMux()
-	n.mux.HandleFunc("POST /acquire", n.handleAcquire)
-	n.mux.HandleFunc("POST /renew", n.handleRenew)
-	n.mux.HandleFunc("POST /release", n.handleRelease)
-	n.mux.HandleFunc("GET /cluster", n.handleClusterGet)
-	n.mux.HandleFunc("POST /cluster", n.handleClusterPost)
-	n.mux.HandleFunc("POST /cluster/join", n.handleJoin)
-	n.mux.HandleFunc("POST /cluster/drain", n.handleDrain)
-	n.mux.HandleFunc("POST /cluster/rebalance", n.handleRebalance)
-	n.mux.HandleFunc("POST /migrate/prepare", n.handleMigratePrepare)
-	n.mux.HandleFunc("POST /migrate/stage", n.handleMigrateStage)
-	n.mux.HandleFunc("POST /migrate/abort", n.handleMigrateAbort)
-	n.mux.HandleFunc("GET /collect", n.handleCollect)
-	n.mux.HandleFunc("GET /leases", n.handleLeases)
-	n.mux.HandleFunc("GET /stats", n.handleStats)
-	n.mux.HandleFunc("GET /healthz", n.handleHealthz)
-	trace.Mount(n.mux, cfg.Tracer, n.events)
+	codec := server.Config{Metrics: cfg.Metrics, MetricsElsewhere: cfg.MetricsElsewhere, Tracer: cfg.Tracer, Events: n.events}
+	mux := server.NewMux(n, codec)
+	mux.HandleFunc("GET /cluster", n.handleClusterGet)
+	mux.HandleFunc("POST /cluster", n.handleClusterPost)
+	mux.HandleFunc("POST /cluster/join", n.handleJoin)
+	mux.HandleFunc("POST /cluster/drain", n.handleDrain)
+	mux.HandleFunc("POST /cluster/rebalance", n.handleRebalance)
+	mux.HandleFunc("POST /migrate/prepare", n.handleMigratePrepare)
+	mux.HandleFunc("POST /migrate/stage", n.handleMigrateStage)
+	mux.HandleFunc("POST /migrate/abort", n.handleMigrateAbort)
 	if cfg.Metrics != nil {
 		n.registerMetrics()
-		if !cfg.MetricsElsewhere {
-			server.MountMetrics(n.mux, cfg.Metrics.Registry)
-		}
 	}
-	n.h = server.WithRequestID(n.mux)
+	n.h = server.WithRequestID(mux)
+	n.wire = server.NewWire(n, codec, n.serveControl)
 	return n, nil
 }
 
@@ -837,23 +810,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) { n.h.ServeHTTP
 // closes the node. It returns nil on a clean shutdown.
 func (n *Node) Serve(ctx context.Context, addr string) error {
 	n.Start()
-	srv := &http.Server{Addr: addr, Handler: n}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		n.Close()
-		return err
-	case <-ctx.Done():
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	err := srv.Shutdown(shutdownCtx)
-	n.Close()
-	if err != nil {
-		return fmt.Errorf("cluster: shutdown: %w", err)
-	}
-	return nil
+	return server.ListenAndServe(ctx, addr, n, n.Close)
 }
 
 // ErrStaleEpoch is returned by Adopt when the offered table's epoch is not
@@ -1163,314 +1120,12 @@ func (n *Node) shutdown(clean bool) {
 	}
 }
 
-// ttlOf maps the wire TTL encoding to the lease layer's. Cluster mode has no
-// infinite leases: negative requests map to MaxTTL, which the managers also
-// enforce as the ceiling.
-func (n *Node) ttlOf(millis int64) time.Duration {
-	switch {
-	case millis == 0:
-		return n.cfg.DefaultTTL
-	case millis < 0:
-		return n.cfg.MaxTTL
-	default:
-		return time.Duration(millis) * time.Millisecond
-	}
-}
-
-// checkEpoch fences a write whose epoch header disagrees with the node's
-// table. Requests without the header pass (curl-friendliness); routed
-// clients always send it. Seeing a *newer* epoch additionally schedules a
-// table refresh: the node itself is behind.
-func (n *Node) checkEpoch(w http.ResponseWriter, r *http.Request) bool {
-	v := r.Header.Get(EpochHeader)
-	if v == "" {
-		return true
-	}
-	e, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, server.ErrCodeBadRequest)
-		return false
-	}
-	cur := n.Epoch()
-	if e == cur {
-		return true
-	}
-	if e > cur {
-		n.requestRefresh()
-	}
-	n.staleEpochRejects.Add(1)
-	n.events.Emit(trace.Event{
-		Type: trace.EvStaleEpoch, Level: trace.LevelDebug,
-		Epoch: cur, Partition: -1, Cause: "epoch_header", RID: server.RequestID(r),
-		Detail: fmt.Sprintf("412: request carried epoch %d, ours is %d", e, cur),
-	})
-	writeJSON(w, http.StatusPreconditionFailed, EpochResponse{Error: ErrCodeStaleEpoch, Epoch: cur})
-	return false
-}
-
 // requestRefresh nudges the prober to pull tables from peers; non-blocking.
 func (n *Node) requestRefresh() {
 	select {
 	case n.refreshC <- struct{}{}:
 	default:
 	}
-}
-
-// reply is a deferred HTTP response: handlers compute it under the node
-// lock and write it after releasing, so a slow-reading client can never
-// hold the lock against an Adopt (whose write lock would then stall every
-// other request on the node).
-type reply struct {
-	status   int
-	body     any
-	unavail  string // 503 code; wait carries the Retry-After pacing
-	wait     time.Duration
-	leaseErr error
-}
-
-// errCode names the failure a reply carries, for span attribution; "" for a
-// success.
-func (rep reply) errCode() string {
-	if rep.leaseErr != nil {
-		return server.LeaseErrCode(rep.leaseErr)
-	}
-	if rep.unavail != "" {
-		return rep.unavail
-	}
-	switch body := rep.body.(type) {
-	case server.ErrorResponse:
-		return body.Error
-	case EpochResponse:
-		return body.Error
-	}
-	return ""
-}
-
-func (rep reply) write(w http.ResponseWriter) {
-	switch {
-	case rep.leaseErr != nil:
-		server.WriteLeaseError(w, rep.leaseErr)
-	case rep.unavail != "":
-		server.WriteUnavailable(w, rep.unavail, rep.wait)
-	default:
-		// Deferred error bodies are built under the node lock, before the
-		// writer is in hand; stamp the trace id at write time.
-		if er, ok := rep.body.(server.ErrorResponse); ok && er.RequestID == "" {
-			er.RequestID = server.ResponseRequestID(w)
-			rep.body = er
-		}
-		writeJSON(w, rep.status, rep.body)
-	}
-}
-
-func (n *Node) handleAcquire(w http.ResponseWriter, r *http.Request) {
-	if !n.checkEpoch(w, r) {
-		return
-	}
-	var req server.AcquireRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	sp := n.beginSpan("acquire", r)
-	rep := n.acquireOp(n.ttlOf(req.TTLMillis), sp)
-	sp.Finish(rep.errCode())
-	rep.write(w)
-}
-
-// beginSpan opens a flight-recorder span for one HTTP op, keyed by the
-// request ID the middleware assigned; the X-Trace header forces retention
-// past sampling (mirroring the wire protocol's trace flag).
-func (n *Node) beginSpan(op string, r *http.Request) *trace.Op {
-	sp := n.cfg.Tracer.Begin(op, server.RequestID(r))
-	if sp != nil && r.Header.Get(server.TraceForceHeader) != "" {
-		sp.Force()
-	}
-	return sp
-}
-
-func (n *Node) acquireLocked(ttl time.Duration, sp *trace.Op) reply {
-	var mark time.Time
-	if sp != nil {
-		mark = time.Now()
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if sp != nil {
-		sp.Phase(trace.PhaseQueue, time.Since(mark))
-		sp.SetEpoch(n.table.Epoch)
-	}
-	if len(n.ownedIDs) == 0 {
-		return reply{unavail: ErrCodeNoPartitions, wait: n.cfg.ProbeInterval}
-	}
-	start := n.rr.Add(1)
-	now := n.cfg.Clock()
-	quarantineWait := time.Duration(-1)
-	sawOpen := false
-	for i := 0; i < len(n.ownedIDs); i++ {
-		// Index math stays in uint64: truncating the counter to a 32-bit int
-		// would eventually go negative and panic the modulo.
-		part := n.parts[n.ownedIDs[(start+uint64(i))%uint64(len(n.ownedIDs))]]
-		if part.migrating {
-			// Fenced for a migration about to cut over; the next table
-			// routes acquires elsewhere, so pace like a short quarantine.
-			if quarantineWait < 0 || n.cfg.ProbeInterval < quarantineWait {
-				quarantineWait = n.cfg.ProbeInterval
-			}
-			continue
-		}
-		if wait := part.quarantineUntil.Sub(now); wait > 0 {
-			if quarantineWait < 0 || wait < quarantineWait {
-				quarantineWait = wait
-			}
-			continue
-		}
-		sawOpen = true
-		sp.SetNode(n.cfg.NodeID, part.id)
-		l, err := part.mgr.AcquireSpan(ttl, sp)
-		if err == nil {
-			return reply{status: http.StatusOK, body: GrantResponse{
-				Name:               part.id*n.table.Stride + l.Name,
-				Token:              l.Token,
-				DeadlineUnixMillis: l.Deadline.UnixMilli(),
-				NodeID:             n.cfg.NodeID,
-				Partition:          part.id,
-				Epoch:              n.table.Epoch,
-			}}
-		}
-		if errors.Is(err, activity.ErrFull) || errors.Is(err, lease.ErrClosed) {
-			continue
-		}
-		if rep, fenced := n.fencedReplyLocked(err); fenced {
-			return rep
-		}
-		return reply{leaseErr: err}
-	}
-	if sawOpen {
-		// Open partitions exist but every one is full: slots free up as
-		// leases expire, so one expirer tick is the retry pacing.
-		return reply{unavail: server.ErrCodeFull, wait: n.cfg.Lease.TickInterval}
-	}
-	return reply{unavail: ErrCodeWarming, wait: quarantineWait}
-}
-
-// fencedReplyLocked maps a journal fence (wal.ErrFenced) to the 412 a stale
-// epoch earns: an adopter fenced this partition's state on disk, so the
-// node is behind exactly as if its table were stale — reject the write and
-// schedule a pull. Callers hold mu for read.
-func (n *Node) fencedReplyLocked(err error) (reply, bool) {
-	if !errors.Is(err, wal.ErrFenced) {
-		return reply{}, false
-	}
-	n.staleEpochRejects.Add(1)
-	n.requestRefresh()
-	return reply{status: http.StatusPreconditionFailed, body: EpochResponse{Error: ErrCodeStaleEpoch, Epoch: n.table.Epoch}}, true
-}
-
-// resolveLocked maps a cluster name to the owned partition and local name;
-// callers hold mu. A failure reply carries 409 (outside the namespace) or
-// 421 (another member owns it).
-func (n *Node) resolveLocked(name int) (*partition, int, reply, bool) {
-	p := n.table.PartitionOf(name)
-	if p < 0 {
-		return nil, 0, reply{status: http.StatusConflict, body: server.ErrorResponse{Error: server.ErrCodeNotLeased}}, false
-	}
-	part, owned := n.parts[p]
-	if !owned || part.migrating {
-		// A migrating partition answers 421 like one we no longer own: the
-		// fence must hold every mutation out of the exported snapshot, and
-		// the routed client's refresh-and-retry lands the op on whichever
-		// side the plan resolves to (the target after cutover, or back here
-		// after an abort).
-		n.misroutes.Add(1)
-		return nil, 0, reply{status: http.StatusMisdirectedRequest, body: EpochResponse{Error: ErrCodeNotOwner, Epoch: n.table.Epoch}}, false
-	}
-	return part, name - p*n.table.Stride, reply{}, true
-}
-
-func (n *Node) handleRenew(w http.ResponseWriter, r *http.Request) {
-	if !n.checkEpoch(w, r) {
-		return
-	}
-	var req server.RenewRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	sp := n.beginSpan("renew", r)
-	rep := n.renewOp(req, sp)
-	sp.Finish(rep.errCode())
-	rep.write(w)
-}
-
-func (n *Node) renewLocked(req server.RenewRequest, sp *trace.Op) reply {
-	var mark time.Time
-	if sp != nil {
-		mark = time.Now()
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if sp != nil {
-		sp.Phase(trace.PhaseQueue, time.Since(mark))
-		sp.SetEpoch(n.table.Epoch)
-	}
-	part, local, rep, ok := n.resolveLocked(req.Name)
-	if !ok {
-		return rep
-	}
-	sp.SetNode(n.cfg.NodeID, part.id)
-	l, err := part.mgr.RenewSpan(local, req.Token, n.ttlOf(req.TTLMillis), sp)
-	if err != nil {
-		if rep, fenced := n.fencedReplyLocked(err); fenced {
-			return rep
-		}
-		return reply{leaseErr: err}
-	}
-	return reply{status: http.StatusOK, body: GrantResponse{
-		Name:               req.Name,
-		Token:              l.Token,
-		DeadlineUnixMillis: l.Deadline.UnixMilli(),
-		NodeID:             n.cfg.NodeID,
-		Partition:          part.id,
-		Epoch:              n.table.Epoch,
-	}}
-}
-
-func (n *Node) handleRelease(w http.ResponseWriter, r *http.Request) {
-	if !n.checkEpoch(w, r) {
-		return
-	}
-	var req server.ReleaseRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	sp := n.beginSpan("release", r)
-	rep := n.releaseOp(req, sp)
-	sp.Finish(rep.errCode())
-	rep.write(w)
-}
-
-func (n *Node) releaseLocked(req server.ReleaseRequest, sp *trace.Op) reply {
-	var mark time.Time
-	if sp != nil {
-		mark = time.Now()
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if sp != nil {
-		sp.Phase(trace.PhaseQueue, time.Since(mark))
-		sp.SetEpoch(n.table.Epoch)
-	}
-	part, local, rep, ok := n.resolveLocked(req.Name)
-	if !ok {
-		return rep
-	}
-	sp.SetNode(n.cfg.NodeID, part.id)
-	if err := part.mgr.ReleaseSpan(local, req.Token, sp); err != nil {
-		if rep, fenced := n.fencedReplyLocked(err); fenced {
-			return rep
-		}
-		return reply{leaseErr: err}
-	}
-	return reply{status: http.StatusOK, body: server.ReleaseResponse{Released: true}}
 }
 
 func (n *Node) handleClusterGet(w http.ResponseWriter, r *http.Request) {
@@ -1491,150 +1146,4 @@ func (n *Node) handleClusterPost(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeError(w, http.StatusBadRequest, server.ErrCodeBadRequest)
 	}
-}
-
-// collectResponse merges the owned partitions' Collect under cluster-global
-// names: the node's slice of the registered set, with the underlying
-// arrays' validity guarantee. Shared by the HTTP handler and the wire
-// backend so both protocols serve one body.
-func (n *Node) collectResponse() server.CollectResponse {
-	names := []int{}
-	var scratch []int
-	n.mu.RLock()
-	for _, id := range n.ownedIDs {
-		scratch = n.parts[id].mgr.Collect(scratch[:0])
-		base := id * n.table.Stride
-		for _, local := range scratch {
-			names = append(names, base+local)
-		}
-	}
-	n.mu.RUnlock()
-	return server.CollectResponse{Count: len(names), Names: names}
-}
-
-func (n *Node) handleCollect(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, n.collectResponse())
-}
-
-// leasesResponse pages the node's active sessions under cluster-global
-// names; shared by the HTTP handler and the wire backend.
-func (n *Node) leasesResponse(start, limit int) NodeLeasesResponse {
-	n.mu.RLock()
-	resp := NodeLeasesResponse{
-		Sessions: []server.SessionJSON{},
-		Next:     -1,
-		NodeID:   n.cfg.NodeID,
-		Epoch:    n.table.Epoch,
-	}
-	for _, part := range n.parts {
-		resp.Active += part.mgr.Active()
-	}
-	for i, id := range n.ownedIDs {
-		base := id * n.table.Stride
-		if start >= base+n.table.Stride {
-			continue
-		}
-		localStart := 0
-		if start > base {
-			localStart = start - base
-		}
-		part := n.parts[id]
-		page, next := part.mgr.Sessions(localStart, limit-len(resp.Sessions))
-		for _, sess := range page {
-			j := server.SessionJSON{Name: base + sess.Name, Token: sess.Token}
-			if !sess.Deadline.IsZero() {
-				j.DeadlineUnixMillis = sess.Deadline.UnixMilli()
-			}
-			resp.Sessions = append(resp.Sessions, j)
-		}
-		if len(resp.Sessions) == limit {
-			switch {
-			case next != -1:
-				resp.Next = base + next
-			case i+1 < len(n.ownedIDs):
-				resp.Next = n.ownedIDs[i+1] * n.table.Stride
-			}
-			break
-		}
-	}
-	n.mu.RUnlock()
-	return resp
-}
-
-func (n *Node) handleLeases(w http.ResponseWriter, r *http.Request) {
-	start, limit, err := server.ParseLeasesQuery(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, server.ErrCodeBadRequest)
-		return
-	}
-	writeJSON(w, http.StatusOK, n.leasesResponse(start, limit))
-}
-
-// statsResponse builds the node's /stats body; shared by the HTTP handler
-// and the wire backend.
-func (n *Node) statsResponse() NodeStatsResponse {
-	n.mu.RLock()
-	now := n.cfg.Clock()
-	resp := NodeStatsResponse{
-		NodeID:            n.cfg.NodeID,
-		Epoch:             n.table.Epoch,
-		TickMillis:        n.cfg.Lease.TickInterval.Milliseconds(),
-		Adoptions:         n.adoptions.Load(),
-		Quarantines:       n.quarantines.Load(),
-		Misroutes:         n.misroutes.Load(),
-		StaleEpochRejects: n.staleEpochRejects.Load(),
-		Migrations: MigrationStats{
-			Planned: n.migPlanned.Load(),
-			Staged:  n.migStaged.Load(),
-			Cutover: n.migCutover.Load(),
-			Aborted: n.migAborted.Load(),
-		},
-		Partitions: []PartitionStats{},
-	}
-	if n.cfg.NodeID < len(n.table.Members) {
-		resp.State = n.table.Members[n.cfg.NodeID].EffectiveState()
-	}
-	n.lifeMu.Lock()
-	if !n.startedAt.IsZero() {
-		resp.UptimeMillis = now.Sub(n.startedAt).Milliseconds()
-	}
-	n.lifeMu.Unlock()
-	for _, id := range n.ownedIDs {
-		part := n.parts[id]
-		ps := PartitionStats{
-			Partition:  id,
-			Capacity:   part.mgr.Capacity(),
-			Size:       part.mgr.Size(),
-			LoadFactor: part.mgr.LoadFactor(),
-			Lease:      part.mgr.Stats(),
-		}
-		if wait := part.quarantineUntil.Sub(now); wait > 0 {
-			ps.QuarantinedMillis = wait.Milliseconds()
-		}
-		resp.Active += ps.Lease.Active
-		resp.Capacity += ps.Capacity
-		resp.Partitions = append(resp.Partitions, ps)
-	}
-	n.mu.RUnlock()
-	return resp
-}
-
-func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, n.statsResponse())
-}
-
-func (n *Node) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := HealthResponse{
-		OK:        true,
-		NodeID:    n.cfg.NodeID,
-		Epoch:     n.Epoch(),
-		Version:   server.BuildVersion(),
-		GoVersion: runtime.Version(),
-	}
-	n.lifeMu.Lock()
-	if !n.startedAt.IsZero() {
-		resp.UptimeMillis = n.cfg.Clock().Sub(n.startedAt).Milliseconds()
-	}
-	n.lifeMu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
 }

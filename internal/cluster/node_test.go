@@ -92,66 +92,6 @@ func TestNodeGrantsGlobalNames(t *testing.T) {
 	}
 }
 
-// TestNodeRejectsForeignPartition421 sends a renew for a name another member
-// owns: 421 plus the not_owner code, and the misroute counter moves.
-func TestNodeRejectsForeignPartition421(t *testing.T) {
-	n, srv := startTestNode(t, testNodeConfig(0, 2, 4, 8))
-	tbl := n.Table()
-	foreign := tbl.PartitionsOf(1)[0]*tbl.Stride + 3
-
-	var fence EpochResponse
-	status, _, err := postJSON(srv.Client(), srv.URL+"/renew", tbl.Epoch, "", server.RenewRequest{Name: foreign, Token: 1}, nil, &fence)
-	if err != nil {
-		t.Fatalf("renew: %v", err)
-	}
-	if status != http.StatusMisdirectedRequest || fence.Error != ErrCodeNotOwner {
-		t.Fatalf("foreign renew: status %d code %q, want 421 %q", status, fence.Error, ErrCodeNotOwner)
-	}
-	if status, _, _ = postJSON(srv.Client(), srv.URL+"/release", tbl.Epoch, "", server.ReleaseRequest{Name: foreign, Token: 1}, nil, nil); status != http.StatusMisdirectedRequest {
-		t.Fatalf("foreign release status %d, want 421", status)
-	}
-	if n.misroutes.Load() != 2 {
-		t.Fatalf("misroutes = %d, want 2", n.misroutes.Load())
-	}
-}
-
-// TestNodeFencesStaleEpoch412 exercises the epoch fence on every write.
-func TestNodeFencesStaleEpoch412(t *testing.T) {
-	n, srv := startTestNode(t, testNodeConfig(0, 2, 4, 8))
-	hc := srv.Client()
-	cur := n.Epoch()
-
-	for _, path := range []string{"/acquire", "/renew", "/release"} {
-		var fence EpochResponse
-		status, _, err := postJSON(hc, srv.URL+path, cur+7, "", server.AcquireRequest{}, nil, &fence)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if status != http.StatusPreconditionFailed || fence.Error != ErrCodeStaleEpoch || fence.Epoch != cur {
-			t.Fatalf("%s with wrong epoch: status %d body %+v, want 412 %q epoch %d", path, status, fence, ErrCodeStaleEpoch, cur)
-		}
-	}
-	if n.staleEpochRejects.Load() != 3 {
-		t.Fatalf("staleEpochRejects = %d, want 3", n.staleEpochRejects.Load())
-	}
-	// No header at all passes the fence (curl-friendliness).
-	var g GrantResponse
-	if status, _, err := postJSON(hc, srv.URL+"/acquire", 0, "", server.AcquireRequest{TTLMillis: 1000}, &g, nil); err != nil || status != http.StatusOK {
-		t.Fatalf("headerless acquire: status %d err %v", status, err)
-	}
-	// Garbage headers are 400s.
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/acquire", nil)
-	req.Header.Set(EpochHeader, "not-a-number")
-	resp, err := hc.Do(req)
-	if err != nil {
-		t.Fatalf("garbage epoch: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage epoch status %d, want 400", resp.StatusCode)
-	}
-}
-
 // TestAdoptLifecycle drives a failover table into a node directly: gained
 // partitions are quarantined, lost ones close, stale tables bounce, and a
 // table that declares the node down self-fences it.

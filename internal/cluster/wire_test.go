@@ -79,53 +79,6 @@ func TestClusterWireDisabled(t *testing.T) {
 	}
 }
 
-// TestClusterWireEpochFencing talks raw frames to one member: a stale epoch
-// must bounce with 412 carrying the node's current epoch, epoch 0 must pass
-// unfenced, and the current epoch must be accepted.
-func TestClusterWireEpochFencing(t *testing.T) {
-	l := fastLocal(t, 3, 4, 128)
-	node := l.Node(0)
-	addr := l.WireTargets()[0]
-	cl := wire.NewClient(addr, nil)
-	defer cl.Close()
-
-	var req wire.Request
-	var resp wire.Response
-
-	// Unfenced (epoch 0) acquire passes.
-	req = wire.Request{Op: wire.OpAcquire, TTLMillis: 200}
-	if err := cl.Do(&req, &resp); err != nil {
-		t.Fatalf("unfenced acquire: %v", err)
-	}
-	if resp.Status != wire.StatusOK || len(resp.Grants) != 1 {
-		t.Fatalf("unfenced acquire: %+v", resp)
-	}
-	if resp.Epoch != node.Epoch() {
-		t.Fatalf("response epoch %d, node epoch %d", resp.Epoch, node.Epoch())
-	}
-
-	// A wrong epoch is fenced with the node's current epoch in the reply.
-	req = wire.Request{Op: wire.OpAcquire, TTLMillis: 200, Epoch: node.Epoch() + 7}
-	if err := cl.Do(&req, &resp); err != nil {
-		t.Fatalf("fenced acquire: %v", err)
-	}
-	if resp.Status != wire.StatusStaleEpoch || resp.Code != wire.CodeStaleEpoch {
-		t.Fatalf("stale-epoch acquire: %+v, want 412", resp)
-	}
-	if resp.Epoch != node.Epoch() {
-		t.Fatalf("412 must carry the node's epoch: got %d, want %d", resp.Epoch, node.Epoch())
-	}
-
-	// The correct epoch is accepted.
-	req = wire.Request{Op: wire.OpAcquire, TTLMillis: 200, Epoch: node.Epoch()}
-	if err := cl.Do(&req, &resp); err != nil {
-		t.Fatalf("current-epoch acquire: %v", err)
-	}
-	if resp.Status != wire.StatusOK {
-		t.Fatalf("current-epoch acquire: %+v", resp)
-	}
-}
-
 // TestClusterWireBatchOps exercises AcquireN/RenewSession/ReleaseN against
 // one member: global names, per-item fencing, partition attribution.
 func TestClusterWireBatchOps(t *testing.T) {

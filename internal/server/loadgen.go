@@ -7,7 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -199,6 +199,10 @@ type LoadReport struct {
 	Crashes     uint64        `json:"crashes"`
 	FullRetries uint64        `json:"full_retries"`
 	Elapsed     time.Duration `json:"elapsed_ns"`
+	// WindowOps counts the verified operations completed inside Elapsed:
+	// the stale-token probes that finish after the last client are left
+	// out, so Throughput divides like by like.
+	WindowOps uint64 `json:"window_ops"`
 
 	AcquireP50 time.Duration `json:"acquire_p50_ns"`
 	AcquireP90 time.Duration `json:"acquire_p90_ns"`
@@ -267,12 +271,13 @@ func (r LoadReport) Ops() uint64 {
 	return r.Acquires + r.Renews + r.Releases + r.StaleRejected
 }
 
-// Throughput returns verified operations per second.
+// Throughput returns the verified operations per second completed inside
+// the timed window.
 func (r LoadReport) Throughput() float64 {
 	if r.Elapsed <= 0 {
 		return 0
 	}
-	return float64(r.Ops()) / r.Elapsed.Seconds()
+	return float64(r.WindowOps) / r.Elapsed.Seconds()
 }
 
 // Violations lists every broken invariant, or nil when the run was clean.
@@ -456,6 +461,7 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	windowOps := led.acquires.Load() + led.renews.Load() + led.releases.Load() + led.staleRejected.Load()
 	close(probes)
 	probeWG.Wait()
 	if runErr != nil {
@@ -469,6 +475,7 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 		Crashes:         led.crashes.Load(),
 		FullRetries:     led.fullRetries.Load(),
 		Elapsed:         elapsed,
+		WindowOps:       windowOps,
 		StaleRejected:   led.staleRejected.Load(),
 		DuplicateNames:  led.duplicates.Load(),
 		EarlyReissues:   led.earlyReissues.Load(),
@@ -513,10 +520,10 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	sortDurations(latencies)
-	report.AcquireP50 = percentile(latencies, 0.50)
-	report.AcquireP90 = percentile(latencies, 0.90)
-	report.AcquireP99 = percentile(latencies, 0.99)
+	slices.Sort(latencies)
+	report.AcquireP50 = Percentile(latencies, 0.50)
+	report.AcquireP90 = Percentile(latencies, 0.90)
+	report.AcquireP99 = Percentile(latencies, 0.99)
 	if n := len(latencies); n > 0 {
 		report.AcquireMax = latencies[n-1]
 	}
@@ -576,7 +583,7 @@ func loadRound(client LeaseAPI, cfg LoadConfig, led *ledger, gen rng.Source, tic
 		}
 	}
 
-	hold(cfg, gen)
+	Hold(cfg.HoldMean, gen)
 	extendedAt := t0
 	if cfg.RenewPercent > 0 && gen.Intn(100) < cfg.RenewPercent {
 		extendedAt = time.Now()
@@ -589,7 +596,7 @@ func loadRound(client LeaseAPI, cfg LoadConfig, led *ledger, gen rng.Source, tic
 		} else {
 			led.unexpectedStale.Add(1)
 		}
-		hold(cfg, gen)
+		Hold(cfg.HoldMean, gen)
 	}
 
 	if cfg.CrashPercent > 0 && gen.Intn(100) < cfg.CrashPercent {
@@ -687,7 +694,7 @@ func loadBatchRound(client BatchLeaseAPI, n int, cfg LoadConfig, led *ledger, ge
 		}
 	}
 
-	hold(cfg, gen)
+	Hold(cfg.HoldMean, gen)
 	extendedAt := t0
 	if cfg.RenewPercent > 0 && gen.Intn(100) < cfg.RenewPercent {
 		refs := make([]LeaseRef, 0, len(batch))
@@ -718,7 +725,7 @@ func loadBatchRound(client BatchLeaseAPI, n int, cfg LoadConfig, led *ledger, ge
 				}
 			}
 		}
-		hold(cfg, gen)
+		Hold(cfg.HoldMean, gen)
 	}
 
 	// Per-lease crash draw, exactly as the single-op rounds, so expiry and
@@ -768,28 +775,21 @@ func loadBatchRound(client BatchLeaseAPI, n int, cfg LoadConfig, led *ledger, ge
 	return nil
 }
 
-// hold sleeps for an exponential draw with mean cfg.HoldMean, capped at 10x.
-func hold(cfg LoadConfig, gen rng.Source) {
-	if cfg.HoldMean <= 0 {
+// Hold sleeps for an exponential draw with the given mean, capped at 10x:
+// one closed-loop client's hold time, in RunLoad and in the cluster's chaos
+// runner.
+func Hold(mean time.Duration, gen rng.Source) {
+	if mean <= 0 {
 		return
 	}
 	u := float64(gen.Uint64()>>11) / float64(1<<53)
-	d := time.Duration(-float64(cfg.HoldMean) * math.Log(1-u))
-	if d > 10*cfg.HoldMean {
-		d = 10 * cfg.HoldMean
-	}
-	time.Sleep(d)
+	time.Sleep(min(time.Duration(-float64(mean)*math.Log(1-u)), 10*mean))
 }
 
-func sortDurations(d []time.Duration) {
-	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-}
-
-// percentile returns the q-quantile of sorted latencies (nearest-rank).
-func percentile(sorted []time.Duration, q float64) time.Duration {
+// Percentile returns the q-quantile of sorted latencies (nearest-rank).
+func Percentile(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
+	return sorted[int(q*float64(len(sorted)-1))]
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -103,77 +102,37 @@ func (m *Metrics) Unavailable(code string) *metrics.Counter {
 	return c
 }
 
-// CountLeaseError bumps the failure counter a lease-layer error maps to,
-// mirroring WriteLeaseError's status mapping. The cluster node uses it for
-// its deferred replies; nil errors and nil receivers are no-ops.
-func (m *Metrics) CountLeaseError(err error) {
+// The single-lease ops a Metrics bundle times.
+const (
+	opAcquire = iota
+	opRenew
+	opRelease
+)
+
+// observe records one single-lease op for either codec and either backend:
+// latency (with the request id as the bucket's exemplar), the attempt
+// counter, and the failure class of a 409 or 503. The 412/421 routing fences
+// are counted by the cluster node's own counters (FenceFunc). Safe on a nil
+// receiver.
+func (m *Metrics) observe(op int, start time.Time, o outcome, rid string) {
 	if m == nil {
 		return
 	}
-	m.observeLeaseErr(err)
-}
-
-// observeLeaseErr is CountLeaseError without the nil-receiver guard, for the
-// Observe* paths that already checked.
-func (m *Metrics) observeLeaseErr(err error) {
-	switch {
-	case err == nil:
-	case errors.Is(err, activity.ErrFull):
-		m.Unavailable(ErrCodeFull).Inc()
-	case errors.Is(err, lease.ErrStaleToken):
-		m.Fence(ErrCodeStaleToken).Inc()
-	case errors.Is(err, lease.ErrNotLeased):
-		m.Fence(ErrCodeNotLeased).Inc()
-	case errors.Is(err, lease.ErrClosed):
-		m.Unavailable(ErrCodeClosed).Inc()
+	lat, ops := m.AcquireLatency, m.AcquireOps
+	switch op {
+	case opRenew:
+		lat, ops = m.RenewLatency, m.RenewOps
+	case opRelease:
+		lat, ops = m.ReleaseLatency, m.ReleaseOps
 	}
-}
-
-// ObserveAcquire records one acquire attempt: latency, the attempt counter,
-// and the failure class when err is non-nil. Safe on a nil receiver.
-func (m *Metrics) ObserveAcquire(start time.Time, err error) {
-	m.ObserveAcquireRID(start, err, "")
-}
-
-// ObserveAcquireRID is ObserveAcquire with the request ID offered as the
-// latency bucket's exemplar, tying the histogram to the flight recorder.
-func (m *Metrics) ObserveAcquireRID(start time.Time, err error, rid string) {
-	if m == nil {
-		return
+	lat.ObserveEx(time.Since(start), rid)
+	ops.Inc()
+	switch o.status {
+	case wire.StatusConflict:
+		m.Fence(o.code.String()).Inc()
+	case wire.StatusUnavailable:
+		m.Unavailable(o.code.String()).Inc()
 	}
-	m.AcquireLatency.ObserveEx(time.Since(start), rid)
-	m.AcquireOps.Inc()
-	m.observeLeaseErr(err)
-}
-
-// ObserveRenew records one renew attempt.
-func (m *Metrics) ObserveRenew(start time.Time, err error) {
-	m.ObserveRenewRID(start, err, "")
-}
-
-// ObserveRenewRID is ObserveRenew with a bucket-exemplar request ID.
-func (m *Metrics) ObserveRenewRID(start time.Time, err error, rid string) {
-	if m == nil {
-		return
-	}
-	m.RenewLatency.ObserveEx(time.Since(start), rid)
-	m.RenewOps.Inc()
-	m.observeLeaseErr(err)
-}
-
-// ObserveRelease records one release attempt.
-func (m *Metrics) ObserveRelease(start time.Time, err error) {
-	m.ObserveReleaseRID(start, err, "")
-}
-
-// ObserveReleaseRID is ObserveRelease with a bucket-exemplar request ID.
-func (m *Metrics) ObserveReleaseRID(start time.Time, err error, rid string) {
-	if m == nil {
-		return
-	}
-	m.ReleaseLatency.ObserveEx(time.Since(start), rid)
-	m.ReleaseOps.Inc()
-	m.observeLeaseErr(err)
 }
 
 // RegisterManager exposes a lease manager's gauges and counters: occupancy

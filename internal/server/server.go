@@ -1,7 +1,9 @@
-// Package server exposes a lease.Manager over HTTP/JSON: the network name
-// service that turns the in-process Get/Free/Collect contract into something
-// remote clients can consume, with TTL-bounded sessions standing in for the
-// crash-safety the in-process discipline gets for free.
+// Package server is the name service's one op core: the Service interface
+// that turns the in-process Get/Free/Collect contract into remote lease
+// sessions, one HTTP/JSON codec (NewMux) and one binary wire codec
+// (WireBackend) over it, and one error table mapping every failure to an
+// HTTP status, a JSON code and a wire.Code. Two backends implement Service:
+// the manager-backed standalone service here, and the cluster node.
 //
 // Endpoints (all JSON):
 //
@@ -13,31 +15,28 @@
 //	GET  /stats                                          -> lease + shard statistics
 //	GET  /healthz                                        -> build + uptime identity
 //
-// Status codes map the lease-layer errors: 503 when the namespace is
-// exhausted (activity.ErrFull) or the manager is shut down, 409 on fencing
-// failures (stale token, not leased), 400 on malformed requests. The 409
-// body carries an error code distinguishing the two fencing cases. A full
-// 503 carries Retry-After (whole seconds, as HTTP requires) and
-// X-Retry-After-Ms (exact milliseconds, one expirer tick) so saturated
-// clients can pace their retries on the service's reclaim granularity
-// instead of hot-spinning.
+// Status codes follow the error table in service.go: 503 when the namespace
+// is exhausted or the manager is shut down, 409 on fencing failures (stale
+// token, not leased), 400 on malformed requests, and on a cluster node 412
+// for a stale epoch and 421 for a partition it does not own. Every 503
+// carries Retry-After (whole seconds, as HTTP requires) and X-Retry-After-Ms
+// (exact milliseconds, one expirer tick unless the error names its own
+// wait) so saturated clients can pace their retries on the service's
+// reclaim granularity instead of hot-spinning.
 package server
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
-	"runtime"
-
-	"github.com/levelarray/levelarray/internal/activity"
 	"github.com/levelarray/levelarray/internal/lease"
 	"github.com/levelarray/levelarray/internal/shard"
 	"github.com/levelarray/levelarray/internal/trace"
+	"github.com/levelarray/levelarray/internal/wire"
 )
 
 // maxBodyBytes bounds request bodies; every request fits in a handful of
@@ -70,6 +69,29 @@ type LeaseResponse struct {
 	Token uint64 `json:"token"`
 	// DeadlineUnixMillis is the lease deadline; 0 for an infinite lease.
 	DeadlineUnixMillis int64 `json:"deadline_unix_ms"`
+}
+
+// GrantResponse is the body of a cluster node's /acquire and /renew: the
+// lease plus where it lives, so clients can route follow-ups and account
+// sessions per node.
+type GrantResponse struct {
+	Name  int    `json:"name"`
+	Token uint64 `json:"token"`
+	// DeadlineUnixMillis is the lease deadline (always finite in cluster
+	// mode: the quarantine discipline needs every lease TTL-bounded).
+	DeadlineUnixMillis int64  `json:"deadline_unix_ms"`
+	NodeID             int    `json:"node_id"`
+	Partition          int    `json:"partition"`
+	Epoch              uint64 `json:"epoch"`
+}
+
+// EpochResponse is the body of a 412 or 421 (and of a cluster node's POST
+// /cluster replies): the node's current epoch, so the peer knows how far
+// behind it is.
+type EpochResponse struct {
+	Error   string `json:"error,omitempty"`
+	Adopted bool   `json:"adopted,omitempty"`
+	Epoch   uint64 `json:"epoch"`
 }
 
 // ReleaseResponse is the body returned by /release.
@@ -134,10 +156,11 @@ const (
 	ErrCodeBadRequest = "bad_request"
 )
 
-// Config parameterizes a Server.
+// Config parameterizes the codecs and the manager-backed service.
 type Config struct {
-	// DefaultTTL is applied when an acquire request omits its TTL (or sends
-	// 0). Zero selects 10s.
+	// DefaultTTL is applied when an acquire request to a manager-backed
+	// service omits its TTL (or sends 0). Zero selects 10s. A cluster node
+	// takes its own from NodeConfig.
 	DefaultTTL time.Duration
 	// Metrics, when non-nil, instruments the lease operations and mounts
 	// GET /metrics plus the pprof routes on this server's mux.
@@ -153,36 +176,17 @@ type Config struct {
 	Events *trace.EventLog
 }
 
-// Server serves the lease API for one manager. Build it with New; it
-// implements http.Handler.
+// Server serves the lease API of one manager over HTTP: the HTTP codec over
+// the manager-backed service. Build it with New; it implements http.Handler.
 type Server struct {
-	mgr     *lease.Manager
-	cfg     Config
-	mux     *http.ServeMux
-	h       http.Handler
-	started time.Time
+	mgr *lease.Manager
+	h   http.Handler
 }
 
 // New builds a Server over mgr. The caller remains responsible for starting
 // the manager's expirer (mgr.Start) and closing it on shutdown.
 func New(mgr *lease.Manager, cfg Config) *Server {
-	if cfg.DefaultTTL <= 0 {
-		cfg.DefaultTTL = 10 * time.Second
-	}
-	s := &Server{mgr: mgr, cfg: cfg, mux: http.NewServeMux(), started: time.Now()}
-	s.mux.HandleFunc("POST /acquire", s.handleAcquire)
-	s.mux.HandleFunc("POST /renew", s.handleRenew)
-	s.mux.HandleFunc("POST /release", s.handleRelease)
-	s.mux.HandleFunc("GET /collect", s.handleCollect)
-	s.mux.HandleFunc("GET /leases", s.handleLeases)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	if cfg.Metrics != nil && !cfg.MetricsElsewhere {
-		MountMetrics(s.mux, cfg.Metrics.Registry)
-	}
-	trace.Mount(s.mux, cfg.Tracer, cfg.Events)
-	s.h = WithRequestID(s.mux)
-	return s
+	return &Server{mgr: mgr, h: WithRequestID(NewMux(newManagerService(mgr, cfg), cfg))}
 }
 
 // ServeHTTP dispatches to the lease API through the request-ID middleware.
@@ -192,28 +196,161 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.h.ServeHT
 // listener down gracefully (draining in-flight requests) and closes the
 // manager. It returns nil on a clean shutdown.
 func (s *Server) Serve(ctx context.Context, addr string) error {
-	srv := &http.Server{Addr: addr, Handler: s}
+	return ListenAndServe(ctx, addr, s, s.mgr.Close)
+}
+
+// ListenAndServe serves h on addr until ctx is cancelled, then shuts the
+// listener down gracefully (draining in-flight requests) and calls stop,
+// which also runs when the listener fails. It returns nil on a clean
+// shutdown.
+func ListenAndServe(ctx context.Context, addr string, h http.Handler, stop func()) error {
+	srv := &http.Server{Addr: addr, Handler: h}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	select {
 	case err := <-errc:
-		s.mgr.Close()
+		stop()
 		return err
 	case <-ctx.Done():
 	}
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	err := srv.Shutdown(shutdownCtx)
-	s.mgr.Close()
+	stop()
 	if err != nil {
 		return fmt.Errorf("server: shutdown: %w", err)
 	}
 	return nil
 }
 
+// NewMux builds the HTTP codec over svc: the lease writes, the read routes,
+// /metrics and pprof (when cfg.Metrics is set and not served elsewhere) and
+// the flight-recorder routes. A cluster node adds its control-plane routes
+// to the returned mux; wrap it with WithRequestID.
+func NewMux(svc Service, cfg Config) *http.ServeMux {
+	h := &httpCodec{opCore: opCore{svc: svc, m: cfg.Metrics}, tracer: cfg.Tracer}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /acquire", h.handleAcquire)
+	mux.HandleFunc("POST /renew", h.handleRenew)
+	mux.HandleFunc("POST /release", h.handleRelease)
+	mux.HandleFunc("GET /collect", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, svc.Collect())
+	})
+	mux.HandleFunc("GET /leases", func(w http.ResponseWriter, r *http.Request) {
+		start, limit, err := leasesQuery(r)
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, ErrCodeBadRequest)
+			return
+		}
+		WriteJSON(w, http.StatusOK, svc.Leases(start, limit))
+	})
+	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, svc.Stats())
+	})
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, svc.Health())
+	})
+	if cfg.Metrics != nil && !cfg.MetricsElsewhere {
+		MountMetrics(mux, cfg.Metrics.Registry)
+	}
+	trace.Mount(mux, cfg.Tracer, cfg.Events)
+	return mux
+}
+
+// httpCodec answers the lease writes over HTTP/JSON.
+type httpCodec struct {
+	opCore
+	tracer *trace.Recorder
+}
+
+// begin decodes one write's body and opens its Call: the X-Cluster-Epoch
+// header (absent = unfenced) and a span keyed by the request id, forced
+// past sampling by X-Trace. It answers 400 itself when either input is
+// malformed.
+func (h *httpCodec) begin(w http.ResponseWriter, r *http.Request, op string, body any) (Call, bool) {
+	if !DecodeJSON(w, r, body, maxBodyBytes) {
+		return Call{}, false
+	}
+	c := Call{rid: RequestID(r)}
+	if v := r.Header.Get(EpochHeader); v != "" {
+		epoch, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, ErrCodeBadRequest)
+			return Call{}, false
+		}
+		c.Epoch = epoch
+	}
+	if c.Span = h.tracer.Begin(op, c.rid); c.Span != nil && r.Header.Get(TraceForceHeader) != "" {
+		c.Span.Force()
+	}
+	return c, true
+}
+
+// reply finishes the call's span and writes body, or the error table's
+// answer: a 503 with Retry-After and X-Retry-After-Ms, a 412/421 with the
+// responder's epoch, else the bare code.
+func (h *httpCodec) reply(w http.ResponseWriter, c Call, o outcome, body any) {
+	if o.status == wire.StatusOK {
+		c.Span.Finish("")
+		WriteJSON(w, http.StatusOK, body)
+		return
+	}
+	code := o.code.String()
+	c.Span.Finish(code)
+	switch o.status {
+	case wire.StatusUnavailable:
+		WriteUnavailable(w, code, o.wait)
+	case wire.StatusStaleEpoch, wire.StatusNotOwner:
+		WriteJSON(w, int(o.status), EpochResponse{Error: code, Epoch: o.epoch})
+	default:
+		WriteError(w, int(o.status), code)
+	}
+}
+
+func (h *httpCodec) handleAcquire(w http.ResponseWriter, r *http.Request) {
+	var req AcquireRequest
+	c, ok := h.begin(w, r, "acquire", &req)
+	if !ok {
+		return
+	}
+	g, o := h.acquire(c, req.TTLMillis)
+	h.reply(w, c, o, grantJSON(g))
+}
+
+func (h *httpCodec) handleRenew(w http.ResponseWriter, r *http.Request) {
+	var req RenewRequest
+	c, ok := h.begin(w, r, "renew", &req)
+	if !ok {
+		return
+	}
+	g, o := h.renew(c, req.Name, req.Token, req.TTLMillis)
+	h.reply(w, c, o, grantJSON(g))
+}
+
+func (h *httpCodec) handleRelease(w http.ResponseWriter, r *http.Request) {
+	var req ReleaseRequest
+	c, ok := h.begin(w, r, "release", &req)
+	if !ok {
+		return
+	}
+	h.reply(w, c, h.release(c, req.Name, req.Token), ReleaseResponse{Released: true})
+}
+
+// grantJSON is a grant's HTTP body. A standalone grant (epoch 0) keeps the
+// lease-only shape; a node's grant adds where the lease lives.
+func grantJSON(g Grant) any {
+	if g.Epoch == 0 {
+		return LeaseResponse{Name: g.Name, Token: g.Token, DeadlineUnixMillis: g.DeadlineUnixMillis}
+	}
+	return GrantResponse{
+		Name: g.Name, Token: g.Token, DeadlineUnixMillis: g.DeadlineUnixMillis,
+		NodeID: g.NodeID, Partition: g.Partition, Epoch: g.Epoch,
+	}
+}
+
 // DecodeJSON parses a JSON request body into dst with a size cap, writing
-// the 400 itself on failure. Shared with the cluster node so both layers
-// apply the same strictness and error shape.
+// the 400 itself on failure. Shared with the cluster node's control routes
+// so both apply the same strictness and error shape.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any, maxBytes int64) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
 	dec := json.NewDecoder(r.Body)
@@ -225,11 +362,6 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any, maxBytes int64)
 	return true
 }
 
-// decode applies DecodeJSON with this server's body cap.
-func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	return DecodeJSON(w, r, dst, maxBodyBytes)
-}
-
 // WriteJSON writes one JSON response.
 func WriteJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -237,35 +369,21 @@ func WriteJSON(w http.ResponseWriter, status int, body any) {
 	_ = json.NewEncoder(w).Encode(body)
 }
 
-func writeJSON(w http.ResponseWriter, status int, body any) { WriteJSON(w, status, body) }
-
 // WriteError writes one ErrorResponse-coded failure, echoing the request's
 // trace id when the ResponseWriter passed through WithRequestID.
 func WriteError(w http.ResponseWriter, status int, code string) {
 	WriteJSON(w, status, ErrorResponse{Error: code, RequestID: ResponseRequestID(w)})
 }
 
-func writeError(w http.ResponseWriter, status int, code string) { WriteError(w, status, code) }
-
 // WriteUnavailable writes a 503 with the given error code and retry hints:
 // the standard Retry-After header in whole seconds (rounded up, as HTTP
 // requires) plus X-Retry-After-Ms carrying the exact wait, so loopback
 // clients are not forced onto a one-second retry floor.
 func WriteUnavailable(w http.ResponseWriter, code string, wait time.Duration) {
-	if wait <= 0 {
-		wait = time.Millisecond
-	}
-	secs := int64((wait + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	millis := wait.Milliseconds()
-	if millis < 1 {
-		millis = 1
-	}
+	secs := max(int64((wait+time.Second-1)/time.Second), 1)
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	w.Header().Set("X-Retry-After-Ms", strconv.FormatInt(millis, 10))
-	writeError(w, http.StatusServiceUnavailable, code)
+	w.Header().Set("X-Retry-After-Ms", strconv.FormatInt(retryMillis(wait), 10))
+	WriteError(w, http.StatusServiceUnavailable, code)
 }
 
 // RetryAfterHint extracts the retry pacing from a 503's headers, preferring
@@ -285,150 +403,19 @@ func RetryAfterHint(h http.Header, fallback time.Duration) time.Duration {
 	return fallback
 }
 
-// WriteLeaseError maps a lease-layer error to its status and code; the
-// cluster node shares it so both layers speak the same error vocabulary.
-func WriteLeaseError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, activity.ErrFull):
-		writeError(w, http.StatusServiceUnavailable, ErrCodeFull)
-	case errors.Is(err, lease.ErrStaleToken):
-		writeError(w, http.StatusConflict, ErrCodeStaleToken)
-	case errors.Is(err, lease.ErrNotLeased):
-		writeError(w, http.StatusConflict, ErrCodeNotLeased)
-	case errors.Is(err, lease.ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, ErrCodeClosed)
-	case errors.Is(err, lease.ErrTTLTooLong):
-		writeError(w, http.StatusBadRequest, ErrCodeTTL)
-	default:
-		writeError(w, http.StatusInternalServerError, ErrCodeBadRequest)
-	}
-}
-
-// LeaseErrCode maps a lease-layer error to its wire error code ("" for nil):
-// the span-outcome counterpart of WriteLeaseError's status mapping.
-func LeaseErrCode(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, activity.ErrFull):
-		return ErrCodeFull
-	case errors.Is(err, lease.ErrStaleToken):
-		return ErrCodeStaleToken
-	case errors.Is(err, lease.ErrNotLeased):
-		return ErrCodeNotLeased
-	case errors.Is(err, lease.ErrClosed):
-		return ErrCodeClosed
-	case errors.Is(err, lease.ErrTTLTooLong):
-		return ErrCodeTTL
-	default:
-		return ErrCodeBadRequest
-	}
-}
-
 // TraceForceHeader, when present on a request, forces the operation's span
 // past the recorder's sampling — the HTTP analogue of the wire trace flag.
 const TraceForceHeader = "X-Trace"
 
-// beginSpan opens the handler-side span for one operation, keyed by the
-// request's trace id. Returns nil (a valid no-op span) when tracing is off.
-func (s *Server) beginSpan(op string, r *http.Request) *trace.Op {
-	sp := s.cfg.Tracer.Begin(op, RequestID(r))
-	if sp != nil && r.Header.Get(TraceForceHeader) != "" {
-		sp.Force()
-	}
-	return sp
-}
+// EpochHeader carries the sender's table epoch on every write. A cluster
+// node whose epoch differs rejects the write with 412, the routing-level
+// analogue of a stale fencing token's 409; a standalone service has no
+// table and ignores it.
+const EpochHeader = "X-Cluster-Epoch"
 
-// ttlOf maps the wire TTL encoding (0 = server default, negative = infinite)
-// to the lease layer's (<= 0 = infinite).
-func (s *Server) ttlOf(millis int64) time.Duration {
-	switch {
-	case millis == 0:
-		return s.cfg.DefaultTTL
-	case millis < 0:
-		return 0
-	default:
-		return time.Duration(millis) * time.Millisecond
-	}
-}
-
-func leaseResponse(l lease.Lease) LeaseResponse {
-	resp := LeaseResponse{Name: l.Name, Token: l.Token}
-	if !l.Deadline.IsZero() {
-		resp.DeadlineUnixMillis = l.Deadline.UnixMilli()
-	}
-	return resp
-}
-
-func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
-	var req AcquireRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	sp := s.beginSpan("acquire", r)
-	start := time.Now()
-	l, err := s.mgr.AcquireSpan(s.ttlOf(req.TTLMillis), sp)
-	s.cfg.Metrics.ObserveAcquireRID(start, err, sp.RID())
-	sp.Finish(LeaseErrCode(err))
-	if err != nil {
-		if errors.Is(err, activity.ErrFull) {
-			// Slots free up when leases expire, so one expirer tick is the
-			// natural retry pacing for a saturated namespace.
-			WriteUnavailable(w, ErrCodeFull, s.mgr.TickInterval())
-			return
-		}
-		WriteLeaseError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, leaseResponse(l))
-}
-
-func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
-	var req RenewRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	sp := s.beginSpan("renew", r)
-	start := time.Now()
-	l, err := s.mgr.RenewSpan(req.Name, req.Token, s.ttlOf(req.TTLMillis), sp)
-	s.cfg.Metrics.ObserveRenewRID(start, err, sp.RID())
-	sp.Finish(LeaseErrCode(err))
-	if err != nil {
-		WriteLeaseError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, leaseResponse(l))
-}
-
-func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	var req ReleaseRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	sp := s.beginSpan("release", r)
-	start := time.Now()
-	err := s.mgr.ReleaseSpan(req.Name, req.Token, sp)
-	s.cfg.Metrics.ObserveReleaseRID(start, err, sp.RID())
-	sp.Finish(LeaseErrCode(err))
-	if err != nil {
-		WriteLeaseError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ReleaseResponse{Released: true})
-}
-
-func (s *Server) handleCollect(w http.ResponseWriter, r *http.Request) {
-	names := s.mgr.Collect(nil)
-	if names == nil {
-		names = []int{}
-	}
-	writeJSON(w, http.StatusOK, CollectResponse{Count: len(names), Names: names})
-}
-
-// ParseLeasesQuery reads the start/limit pagination parameters of a /leases
-// request, applying the default and maximum page limits. Shared with the
-// cluster node, whose /leases endpoint pages the same wire API.
-func ParseLeasesQuery(r *http.Request) (start, limit int, err error) {
+// leasesQuery reads the start/limit pagination parameters of a /leases
+// request, applying the default and maximum page limits.
+func leasesQuery(r *http.Request) (start, limit int, err error) {
 	start, limit = 0, DefaultLeasesPageLimit
 	q := r.URL.Query()
 	if v := q.Get("start"); v != "" {
@@ -445,51 +432,15 @@ func ParseLeasesQuery(r *http.Request) (start, limit int, err error) {
 		}
 		limit = n
 	}
-	if limit > MaxLeasesPageLimit {
-		limit = MaxLeasesPageLimit
-	}
-	return start, limit, nil
+	return start, pageLimit(limit), nil
 }
 
-// LeasesPage turns one Manager.Sessions page into the /leases wire shape.
-func LeasesPage(mgr *lease.Manager, r *http.Request) (LeasesResponse, error) {
-	start, limit, err := ParseLeasesQuery(r)
-	if err != nil {
-		return LeasesResponse{}, err
+// pageLimit applies the default and maximum /leases page sizes.
+func pageLimit(limit int) int {
+	if limit <= 0 {
+		return DefaultLeasesPageLimit
 	}
-	page, next := mgr.Sessions(start, limit)
-	resp := LeasesResponse{Sessions: make([]SessionJSON, 0, len(page)), Next: next, Active: mgr.Active()}
-	for _, sess := range page {
-		j := SessionJSON{Name: sess.Name, Token: sess.Token}
-		if !sess.Deadline.IsZero() {
-			j.DeadlineUnixMillis = sess.Deadline.UnixMilli()
-		}
-		resp.Sessions = append(resp.Sessions, j)
-	}
-	return resp, nil
-}
-
-func (s *Server) handleLeases(w http.ResponseWriter, r *http.Request) {
-	resp, err := LeasesPage(s.mgr, r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeBadRequest)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := StatsResponse{
-		Lease:        s.mgr.Stats(),
-		Capacity:     s.mgr.Capacity(),
-		Size:         s.mgr.Size(),
-		TickMillis:   s.mgr.TickInterval().Milliseconds(),
-		UptimeMillis: time.Since(s.started).Milliseconds(),
-	}
-	if sharded, ok := s.mgr.Array().(*shard.Sharded); ok {
-		resp.Shards = sharded.ShardStats()
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return min(limit, MaxLeasesPageLimit)
 }
 
 // HealthzResponse is the body of GET /healthz: liveness plus enough build
@@ -499,13 +450,4 @@ type HealthzResponse struct {
 	Version      string `json:"version"`
 	GoVersion    string `json:"go_version"`
 	UptimeMillis int64  `json:"uptime_ms"`
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthzResponse{
-		OK:           true,
-		Version:      BuildVersion(),
-		GoVersion:    runtime.Version(),
-		UptimeMillis: time.Since(s.started).Milliseconds(),
-	})
 }

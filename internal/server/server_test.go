@@ -146,18 +146,23 @@ func TestBadRequests(t *testing.T) {
 	srv, _ := newTestService(t, 8, 10*time.Millisecond)
 	for _, tc := range []struct {
 		method, path, body string
+		epoch              string // X-Cluster-Epoch header, "" for none
 		wantStatus         int
 	}{
-		{"POST", "/acquire", "{not json", http.StatusBadRequest},
-		{"POST", "/acquire", `{"surprise": 1}`, http.StatusBadRequest},
-		{"POST", "/renew", `{"name": -5, "token": 1}`, http.StatusConflict},
-		{"POST", "/release", `{"name": 999999, "token": 1}`, http.StatusConflict},
-		{"GET", "/acquire", "", http.StatusMethodNotAllowed},
-		{"POST", "/collect", "", http.StatusMethodNotAllowed},
+		{"POST", "/acquire", "{not json", "", http.StatusBadRequest},
+		{"POST", "/acquire", `{"surprise": 1}`, "", http.StatusBadRequest},
+		{"POST", "/acquire", `{"ttl_ms": 1000}`, "not-a-number", http.StatusBadRequest},
+		{"POST", "/renew", `{"name": -5, "token": 1}`, "", http.StatusConflict},
+		{"POST", "/release", `{"name": 999999, "token": 1}`, "", http.StatusConflict},
+		{"GET", "/acquire", "", "", http.StatusMethodNotAllowed},
+		{"POST", "/collect", "", "", http.StatusMethodNotAllowed},
 	} {
 		req, err := http.NewRequest(tc.method, srv.URL+tc.path, bytes.NewReader([]byte(tc.body)))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tc.epoch != "" {
+			req.Header.Set(EpochHeader, tc.epoch)
 		}
 		resp, err := srv.Client().Do(req)
 		if err != nil {
@@ -262,19 +267,49 @@ func TestLoadgenLoopbackSmoke(t *testing.T) {
 		report.Crashes, report.StaleRejected)
 }
 
+// TestLoadThroughputCountsOnlyTheWindow abandons every lease, so every
+// stale-token probe waits out its lease's TTL and completes after the last
+// client does: the throughput counts the acquires inside the timed window
+// and none of the probes.
+func TestLoadThroughputCountsOnlyTheWindow(t *testing.T) {
+	srv, _ := newTestService(t, 64, 10*time.Millisecond)
+	report, err := RunLoad(LoadConfig{
+		BaseURL:      srv.URL,
+		Clients:      2,
+		Acquires:     20,
+		TTL:          time.Second,
+		CrashPercent: 100,
+		ReclaimSlack: 50 * time.Millisecond,
+		Seed:         3,
+	})
+	if err != nil {
+		t.Fatalf("RunLoad: %v", err)
+	}
+	if v := report.Violations(); v != nil {
+		t.Fatalf("violations: %v", v)
+	}
+	if report.StaleRejected == 0 || report.Elapsed >= time.Second {
+		t.Fatalf("want stale-token probes after a window shorter than the TTL: %+v", report)
+	}
+	if got, want := report.Throughput(), float64(report.Acquires)/report.Elapsed.Seconds(); got != want {
+		t.Fatalf("throughput %.0f ops/s, want %.0f: %d acquires in %v, %d probes after it",
+			got, want, report.Acquires, report.Elapsed, report.StaleRejected)
+	}
+}
+
 // TestLoadgenDetectsViolations feeds the verifier a deliberately broken
 // service (it reissues a constant name) and asserts the ledger catches it —
 // the smoke test is only as good as its ability to fail.
 func TestLoadgenDetectsViolations(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /acquire", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, LeaseResponse{Name: 7, Token: 1, DeadlineUnixMillis: time.Now().Add(time.Hour).UnixMilli()})
+		WriteJSON(w, http.StatusOK, LeaseResponse{Name: 7, Token: 1, DeadlineUnixMillis: time.Now().Add(time.Hour).UnixMilli()})
 	})
 	mux.HandleFunc("POST /release", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, ReleaseResponse{Released: true})
+		WriteJSON(w, http.StatusOK, ReleaseResponse{Released: true})
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, StatsResponse{TickMillis: 10})
+		WriteJSON(w, http.StatusOK, StatsResponse{TickMillis: 10})
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()

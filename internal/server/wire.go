@@ -2,260 +2,160 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"github.com/levelarray/levelarray/internal/activity"
 	"github.com/levelarray/levelarray/internal/lease"
-	"github.com/levelarray/levelarray/internal/shard"
 	"github.com/levelarray/levelarray/internal/wire"
 )
 
-// WireBackend serves the binary wire protocol over one lease.Manager: the
-// standalone-node counterpart of Server, sharing its TTL encoding (0 =
-// default, negative = infinite) and error vocabulary, with the HTTP statuses
-// carried in the frame header. Build it with NewWireBackend and hand it to
-// wire.NewServer.
+// WireBackend is the wire codec: the binary protocol over one Service, with
+// the HTTP statuses carried in the frame header and the same error table as
+// the HTTP codec. Build it with NewWireBackend (standalone) or NewWire and
+// hand it to wire.NewServer.
 type WireBackend struct {
-	mgr     *lease.Manager
-	cfg     Config
-	started time.Time
+	opCore
+	// control answers the opcodes the lease API does not define (a cluster
+	// node's membership plane); nil answers them 400.
+	control func(req *wire.Request, resp *wire.Response) bool
 }
 
-// NewWireBackend builds a wire backend over mgr with the same defaults as New.
+// NewWireBackend builds the wire codec over the manager-backed service, with
+// the same defaults as New.
 func NewWireBackend(mgr *lease.Manager, cfg Config) *WireBackend {
-	if cfg.DefaultTTL <= 0 {
-		cfg.DefaultTTL = 10 * time.Second
-	}
-	return &WireBackend{mgr: mgr, cfg: cfg, started: time.Now()}
+	return NewWire(newManagerService(mgr, cfg), cfg, nil)
 }
 
-// ttlOf maps the wire TTL encoding to the lease layer's, as Server.ttlOf.
-func (b *WireBackend) ttlOf(millis int64) time.Duration {
-	switch {
-	case millis == 0:
-		return b.cfg.DefaultTTL
-	case millis < 0:
-		return 0
-	default:
-		return time.Duration(millis) * time.Millisecond
-	}
+// NewWire builds the wire codec over svc, instrumented by cfg.Metrics.
+// control, when non-nil, answers opcodes beyond the lease API and reports
+// whether it knew the opcode.
+func NewWire(svc Service, cfg Config, control func(req *wire.Request, resp *wire.Response) bool) *WireBackend {
+	return &WireBackend{opCore: opCore{svc: svc, m: cfg.Metrics}, control: control}
 }
 
-// wireScratch is the per-call batch workspace, pooled so the batch opcodes
+// batchScratch is the per-call batch workspace, pooled so the batch opcodes
 // stay allocation-free at steady state.
-type wireScratch struct {
-	leases   []lease.Lease
+type batchScratch struct {
+	grants   []Grant
 	refs     []lease.Ref
 	outcomes []lease.RenewOutcome
 }
 
-var wireScratchPool = sync.Pool{New: func() any { return &wireScratch{} }}
+var batchScratchPool = sync.Pool{New: func() any { return &batchScratch{} }}
 
-// WireLeaseError maps a lease-layer error onto a frame's status and code:
-// the binary counterpart of WriteLeaseError, so both protocols express one
-// error vocabulary.
-func WireLeaseError(err error) (wire.Status, wire.Code) {
-	switch {
-	case errors.Is(err, activity.ErrFull):
-		return wire.StatusUnavailable, wire.CodeFull
-	case errors.Is(err, lease.ErrStaleToken):
-		return wire.StatusConflict, wire.CodeStaleToken
-	case errors.Is(err, lease.ErrNotLeased):
-		return wire.StatusConflict, wire.CodeNotLeased
-	case errors.Is(err, lease.ErrClosed):
-		return wire.StatusUnavailable, wire.CodeClosed
-	case errors.Is(err, lease.ErrTTLTooLong):
-		return wire.StatusBadRequest, wire.CodeTTLTooLong
-	default:
-		return wire.StatusInternal, wire.CodeInternal
+// put writes an outcome into the frame header: status and code, the retry
+// hint of a 503 and the epoch of a 412/421.
+func put(resp *wire.Response, o outcome) {
+	resp.Status, resp.Code = o.status, o.code
+	if o.status == wire.StatusUnavailable {
+		resp.RetryAfterMillis = retryMillis(o.wait)
+	}
+	if o.epoch != 0 {
+		resp.Epoch = o.epoch
 	}
 }
 
-// wireGrant converts one granted lease to its frame shape.
-func wireGrant(l lease.Lease) wire.Grant {
-	g := wire.Grant{Name: int64(l.Name), Token: l.Token}
-	if !l.Deadline.IsZero() {
-		g.DeadlineUnixMilli = l.Deadline.UnixMilli()
-	}
-	return g
-}
-
-// respondLeaseError fills resp for err, attaching the expirer-tick retry
-// pacing to a saturated namespace exactly as the HTTP 503 does.
-func (b *WireBackend) respondLeaseError(resp *wire.Response, err error) {
-	resp.Status, resp.Code = WireLeaseError(err)
-	if resp.Status == wire.StatusUnavailable {
-		wait := b.mgr.TickInterval()
-		if wait <= 0 {
-			wait = time.Millisecond
-		}
-		resp.RetryAfterMillis = wait.Milliseconds()
-		if resp.RetryAfterMillis < 1 {
-			resp.RetryAfterMillis = 1
-		}
+// wireGrant is a grant's frame shape.
+func wireGrant(g Grant) wire.Grant {
+	return wire.Grant{
+		Name: int64(g.Name), Token: g.Token, DeadlineUnixMilli: g.DeadlineUnixMillis,
+		NodeID: int32(g.NodeID), Partition: int32(g.Partition), Epoch: g.Epoch,
 	}
 }
 
-// ServeWire implements wire.Backend over the manager.
+// ServeWire implements wire.Backend. Every response carries the service's
+// epoch unless the outcome set one.
 func (b *WireBackend) ServeWire(req *wire.Request, resp *wire.Response) {
+	c := Call{Epoch: req.Epoch, Span: req.Span, id: req.ID}
 	switch req.Op {
 	case wire.OpPing:
 		// Status OK, empty payload.
 
 	case wire.OpAcquire:
-		start := time.Now()
-		l, err := b.mgr.AcquireSpan(b.ttlOf(req.TTLMillis), req.Span)
-		b.cfg.Metrics.ObserveAcquireRID(start, err, req.Span.RID())
-		if err != nil {
-			b.respondLeaseError(resp, err)
-			return
+		g, o := b.acquire(c, req.TTLMillis)
+		if put(resp, o); o.status == wire.StatusOK {
+			resp.Grants = append(resp.Grants, wireGrant(g))
 		}
-		resp.Grants = append(resp.Grants, wireGrant(l))
 
 	case wire.OpRenew:
 		ref := req.Items[0]
-		start := time.Now()
-		l, err := b.mgr.RenewSpan(int(ref.Name), ref.Token, b.ttlOf(req.TTLMillis), req.Span)
-		b.cfg.Metrics.ObserveRenewRID(start, err, req.Span.RID())
-		if err != nil {
-			b.respondLeaseError(resp, err)
-			return
+		g, o := b.renew(c, int(ref.Name), ref.Token, req.TTLMillis)
+		if put(resp, o); o.status == wire.StatusOK {
+			resp.Grants = append(resp.Grants, wireGrant(g))
 		}
-		resp.Grants = append(resp.Grants, wireGrant(l))
 
 	case wire.OpRelease:
 		ref := req.Items[0]
-		start := time.Now()
-		err := b.mgr.ReleaseSpan(int(ref.Name), ref.Token, req.Span)
-		b.cfg.Metrics.ObserveReleaseRID(start, err, req.Span.RID())
-		if err != nil {
-			b.respondLeaseError(resp, err)
-			return
-		}
+		put(resp, b.release(c, int(ref.Name), ref.Token))
 
-	case wire.OpAcquireN:
-		if b.cfg.Metrics != nil {
-			b.cfg.Metrics.BatchOps.Inc()
+	case wire.OpAcquireN, wire.OpReleaseN, wire.OpRenewSession:
+		if b.m != nil {
+			b.m.BatchOps.Inc()
 		}
-		sc := wireScratchPool.Get().(*wireScratch)
-		leases, err := b.mgr.AcquireN(int(req.N), b.ttlOf(req.TTLMillis), sc.leases[:0])
-		sc.leases = leases
-		if len(leases) == 0 {
-			if err == nil {
-				err = activity.ErrFull
-			}
-			b.respondLeaseError(resp, err)
-			wireScratchPool.Put(sc)
-			return
-		}
-		for _, l := range leases {
-			resp.Grants = append(resp.Grants, wireGrant(l))
-		}
-		wireScratchPool.Put(sc)
-
-	case wire.OpReleaseN:
-		if b.cfg.Metrics != nil {
-			b.cfg.Metrics.BatchOps.Inc()
-		}
-		for _, ref := range req.Items {
-			it := wire.ItemResult{Status: wire.StatusOK}
-			if err := b.mgr.Release(int(ref.Name), ref.Token); err != nil {
-				it.Status, it.Code = WireLeaseError(err)
-			}
-			resp.Items = append(resp.Items, it)
-		}
-
-	case wire.OpRenewSession:
-		if b.cfg.Metrics != nil {
-			b.cfg.Metrics.BatchOps.Inc()
-		}
-		sc := wireScratchPool.Get().(*wireScratch)
-		sc.refs = sc.refs[:0]
-		for _, ref := range req.Items {
-			sc.refs = append(sc.refs, lease.Ref{Name: int(ref.Name), Token: ref.Token})
-		}
-		outcomes, err := b.mgr.RenewAll(sc.refs, b.ttlOf(req.TTLMillis), sc.outcomes[:0])
-		sc.outcomes = outcomes
-		if err != nil {
-			b.respondLeaseError(resp, err)
-			wireScratchPool.Put(sc)
-			return
-		}
-		for _, out := range outcomes {
-			it := wire.ItemResult{Status: wire.StatusOK}
-			if out.Err != nil {
-				it.Status, it.Code = WireLeaseError(out.Err)
-			} else if !out.Deadline.IsZero() {
-				it.DeadlineUnixMilli = out.Deadline.UnixMilli()
-			}
-			resp.Items = append(resp.Items, it)
-		}
-		wireScratchPool.Put(sc)
+		sc := batchScratchPool.Get().(*batchScratch)
+		b.batch(c, req, resp, sc)
+		batchScratchPool.Put(sc)
 
 	case wire.OpCollect:
-		names := b.mgr.Collect(nil)
-		if names == nil {
-			names = []int{}
-		}
-		b.blob(resp, CollectResponse{Count: len(names), Names: names})
+		WriteBlob(resp, b.svc.Collect())
 
 	case wire.OpStats:
-		b.blob(resp, b.statsResponse())
+		WriteBlob(resp, b.svc.Stats())
 
 	case wire.OpLeases:
-		start, limit := int(req.Start), int(req.Limit)
-		if start < 0 {
+		if req.Start < 0 {
 			resp.Status, resp.Code = wire.StatusBadRequest, wire.CodeBadRequest
-			return
+			break
 		}
-		if limit <= 0 {
-			limit = DefaultLeasesPageLimit
-		}
-		if limit > MaxLeasesPageLimit {
-			limit = MaxLeasesPageLimit
-		}
-		page, next := b.mgr.Sessions(start, limit)
-		lr := LeasesResponse{Sessions: make([]SessionJSON, 0, len(page)), Next: next, Active: b.mgr.Active()}
-		for _, sess := range page {
-			j := SessionJSON{Name: sess.Name, Token: sess.Token}
-			if !sess.Deadline.IsZero() {
-				j.DeadlineUnixMillis = sess.Deadline.UnixMilli()
-			}
-			lr.Sessions = append(lr.Sessions, j)
-		}
-		b.blob(resp, lr)
-
-	case wire.OpMembers:
-		// A standalone node has no membership table.
-		resp.Status, resp.Code = wire.StatusBadRequest, wire.CodeBadRequest
+		WriteBlob(resp, b.svc.Leases(int(req.Start), pageLimit(int(req.Limit))))
 
 	default:
-		resp.Status, resp.Code = wire.StatusBadRequest, wire.CodeBadRequest
+		if b.control == nil || !b.control(req, resp) {
+			resp.Status, resp.Code = wire.StatusBadRequest, wire.CodeBadRequest
+		}
+	}
+	if resp.Epoch == 0 {
+		resp.Epoch = b.svc.Epoch()
 	}
 }
 
-// statsResponse mirrors the HTTP /stats body.
-func (b *WireBackend) statsResponse() StatsResponse {
-	resp := StatsResponse{
-		Lease:        b.mgr.Stats(),
-		Capacity:     b.mgr.Capacity(),
-		Size:         b.mgr.Size(),
-		TickMillis:   b.mgr.TickInterval().Milliseconds(),
-		UptimeMillis: time.Since(b.started).Milliseconds(),
+// batch serves AcquireN, ReleaseN and RenewSession, mapping each item's
+// failure through the same error table as a single op.
+func (b *WireBackend) batch(c Call, req *wire.Request, resp *wire.Response, sc *batchScratch) {
+	if req.Op == wire.OpAcquireN {
+		var err error
+		sc.grants, err = b.svc.AcquireN(c, int(req.N), req.TTLMillis, sc.grants[:0])
+		if put(resp, outcomeOf(b.svc, err)); err == nil {
+			for _, g := range sc.grants {
+				resp.Grants = append(resp.Grants, wireGrant(g))
+			}
+		}
+		return
 	}
-	if sharded, ok := b.mgr.Array().(*shard.Sharded); ok {
-		resp.Shards = sharded.ShardStats()
+	sc.refs = sc.refs[:0]
+	for _, ref := range req.Items {
+		sc.refs = append(sc.refs, lease.Ref{Name: int(ref.Name), Token: ref.Token})
 	}
-	return resp
+	var err error
+	if req.Op == wire.OpReleaseN {
+		sc.outcomes, err = b.svc.ReleaseN(c, sc.refs, sc.outcomes[:0])
+	} else {
+		sc.outcomes, err = b.svc.RenewN(c, sc.refs, req.TTLMillis, sc.outcomes[:0])
+	}
+	if put(resp, outcomeOf(b.svc, err)); err != nil {
+		return
+	}
+	for _, out := range sc.outcomes {
+		o := outcomeOf(b.svc, out.Err)
+		resp.Items = append(resp.Items, wire.ItemResult{Status: o.status, Code: o.code, DeadlineUnixMilli: unixMillis(out.Deadline)})
+	}
 }
 
-// blob JSON-encodes body into the response payload. The read-side debug
-// opcodes are the one place the binary protocol carries JSON — they exist so
-// debug tooling can ride the same connection, not for speed.
-func (b *WireBackend) blob(resp *wire.Response, body any) {
+// WriteBlob JSON-encodes body into the response payload. The read-side and
+// control opcodes are the one place the binary protocol carries JSON — they
+// exist so tooling can ride the same connection, not for speed.
+func WriteBlob(resp *wire.Response, body any) {
 	buf, err := json.Marshal(body)
 	if err != nil {
 		resp.Status, resp.Code = wire.StatusInternal, wire.CodeInternal

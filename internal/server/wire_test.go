@@ -32,48 +32,6 @@ func newWireService(t *testing.T, capacity int, tick time.Duration) (*WireClient
 	return NewWireClient(cl), mgr
 }
 
-func TestWireAcquireRenewRelease(t *testing.T) {
-	c, mgr := newWireService(t, 8, 10*time.Millisecond)
-
-	l, status, _, err := c.Acquire(5000)
-	if err != nil || status != 200 {
-		t.Fatalf("acquire: status %d err %v", status, err)
-	}
-	if l.Token == 0 {
-		t.Fatal("zero token")
-	}
-	if mgr.Active() != 1 {
-		t.Fatalf("Active = %d, want 1", mgr.Active())
-	}
-
-	r, status, err := c.Renew(l.Name, l.Token, 5000)
-	if err != nil || status != 200 {
-		t.Fatalf("renew: status %d err %v", status, err)
-	}
-	if r.DeadlineUnixMillis < l.DeadlineUnixMillis {
-		t.Fatalf("renew moved the deadline backwards: %d -> %d", l.DeadlineUnixMillis, r.DeadlineUnixMillis)
-	}
-
-	// Fencing semantics as status codes.
-	if _, status, err := c.Renew(l.Name, l.Token+1, 0); err != nil || status != 409 {
-		t.Fatalf("stale-token renew: status %d err %v, want 409", status, err)
-	}
-	if status, err := c.Release(l.Name, l.Token); err != nil || status != 200 {
-		t.Fatalf("release: status %d err %v", status, err)
-	}
-	if status, err := c.Release(l.Name, l.Token); err != nil || status != 409 {
-		t.Fatalf("double release: status %d err %v, want 409", status, err)
-	}
-
-	s, err := c.Stats()
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
-	if s.Lease.Acquires < 1 || s.Lease.Active != 0 {
-		t.Fatalf("stats: %+v", s)
-	}
-}
-
 func TestWireBatchOps(t *testing.T) {
 	c, mgr := newWireService(t, 64, 10*time.Millisecond)
 

@@ -204,6 +204,17 @@ func (c Code) String() string {
 	}
 }
 
+// ParseCode is the inverse of Code.String: the code a JSON error string
+// spells, CodeInternal for one it does not know.
+func ParseCode(s string) Code {
+	for c := CodeNone; c <= CodeInternal; c++ {
+		if c.String() == s {
+			return c
+		}
+	}
+	return CodeInternal
+}
+
 // Typed decode errors. The fuzz target asserts every malformed input maps to
 // one of these (or a wrapped variant) — never a panic.
 var (
