@@ -79,7 +79,7 @@ func run() error {
 	spawn := flag.Int("spawn", 0, "boot this many in-process cluster nodes and load them (chaos mode)")
 	partitions := flag.Int("partitions", 0, "partitions for -spawn: "+registry.ValidPartitionCounts)
 	capacity := flag.Int("capacity", 4096, "total capacity for -spawn")
-	killEvery := flag.Duration("kill-every", 0, "kill one live node every interval (requires -spawn; 0 = never)")
+	killEvery := flag.Duration("kill-every", 0, "kill one live node every interval (requires -spawn; 0 = never); the load runs on past -ops until the first kill has failed over")
 	restartAfter := flag.Duration("restart-after", 0, "restart each killed node on its old addresses after this pause (requires -spawn and -kill-every; 0 = stay dead)")
 	dataDir := flag.String("data-dir", "", "journal spawned nodes' lease state under this directory (one WAL per node, replayed on -restart-after)")
 	snapshotAdopt := flag.Bool("snapshot-adopt", false, "adopt failed-over partitions from the dead node's fenced snapshot instead of quarantining (requires -data-dir)")

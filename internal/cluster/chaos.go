@@ -38,6 +38,8 @@ type ChaosConfig struct {
 	// Clients is the number of concurrent closed-loop clients. Zero selects 16.
 	Clients int
 	// Acquires is the total acquires across all clients. Zero selects 10000.
+	// Under a kill schedule the clients keep acquiring past it until the
+	// first kill has failed over (see KillEvery).
 	Acquires int64
 	// TTL is the lease TTL per acquire. Zero selects 2s. It should equal the
 	// servers' MaxTTL so the quarantine horizon matches the ledger's bound.
@@ -51,8 +53,10 @@ type ChaosConfig struct {
 	// Seed feeds the per-client generators and the killer's victim draws.
 	Seed uint64
 	// KillEvery, when positive, kills one random live node every interval
-	// (first at KillEvery into the run) while more than MinAlive remain.
-	// Requires Local.
+	// (first at KillEvery into the run) while more than MinAlive remain. The
+	// load runs at least until that first kill has failed over (or the
+	// killer has stopped), so a run that finishes its Acquires early still
+	// fails a node over under load. Requires Local.
 	KillEvery time.Duration
 	// MinAlive is the floor the killer respects. Zero selects 2.
 	MinAlive int
@@ -385,7 +389,12 @@ type chaosLedger struct {
 	abandoned map[int]time.Time // client-crash abandons: the lease deadline
 	orphaned  map[int]*orphanInfo
 	resolved  []*orphanInfo // orphan records whose reissue was observed
-	killed    map[int]bool  // node ID -> killed
+	killed    map[int]bool  // node ID -> killed, its sessions swept (onKill)
+	// dying holds the nodes killed before the killer has seen them fail
+	// over: a client can reach an adopter, and have a dead lease rejected,
+	// before onKill runs, so those sessions may fail already, while their
+	// held records wait for onKill's sweep.
+	dying map[int]bool
 	// lapsed records (name, token) sessions whose lease expired under its
 	// own holder (the ledger saw the name re-granted at/after the old
 	// deadline); the holder's eventual renew/release 409 is then expected.
@@ -430,6 +439,7 @@ func newChaosLedger() *chaosLedger {
 		abandoned: make(map[int]time.Time),
 		orphaned:  make(map[int]*orphanInfo),
 		killed:    make(map[int]bool),
+		dying:     make(map[int]bool),
 		lapsed:    make(map[lapseKey]bool),
 		adopted:   make(map[int]bool),
 	}
@@ -527,6 +537,9 @@ func (led *chaosLedger) classifyFailure(name int, token uint64, now time.Time) f
 		if led.killed[h.node] {
 			delete(led.held, name)
 			return failureKilled
+		}
+		if led.dying[h.node] {
+			return failureKilled // onKill turns the record into an orphan
 		}
 		if !now.Before(h.deadline) {
 			delete(led.held, name)
@@ -711,6 +724,7 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	led := newChaosLedger()
 	var (
 		remaining atomic.Int64
+		failed    atomic.Bool
 		wg        sync.WaitGroup
 		probeWG   sync.WaitGroup
 		probes    = make(chan staleProbe, 8192)
@@ -720,6 +734,7 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 		runErr    error
 		killDone  = make(chan struct{})
 		killStop  = make(chan struct{})
+		firstKill = make(chan struct{}) // closed once the first kill has resolved
 		restartWG sync.WaitGroup
 		report    ChaosReport
 		reportMu  sync.Mutex // guards report's failover fields written by the killer
@@ -727,7 +742,26 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	remaining.Store(cfg.Acquires)
 	fail := func(err error) {
 		errOnce.Do(func() { runErr = err })
-		remaining.Store(0)
+		failed.Store(true)
+	}
+	// more reports whether a client starts another round: while acquires
+	// remain, then on until the first kill has resolved or the killer has
+	// stopped (at once without a kill schedule, whose killDone is closed).
+	more := func() bool {
+		if failed.Load() {
+			return false
+		}
+		if remaining.Add(-1) >= 0 {
+			return true
+		}
+		select {
+		case <-firstKill:
+			return false
+		case <-killDone:
+			return false
+		default:
+			return true
+		}
 	}
 
 	// Fencing verifiers: once an orphan or abandon deadline has passed, its
@@ -794,6 +828,7 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 		go func() {
 			defer close(killDone)
 			gen := rng.New(rng.KindSplitMix, cfg.Seed^0xD1CEB00C)
+			fired := false
 			ticker := time.NewTicker(cfg.KillEvery)
 			defer ticker.Stop()
 			for {
@@ -824,6 +859,7 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 				victimParts := node.Table().PartitionsOf(victim)
 				before := cfg.Local.MaxEpoch()
 				cfg.Logf("chaos: killing node %d (epoch %d, %d alive, partitions %v)", victim, before, len(alive), victimParts)
+				led.onDeath(victim)
 				cfg.Local.Kill(victim)
 				// The restart races the failover from the moment of death,
 				// exactly as a supervised process would in production.
@@ -878,6 +914,10 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 					default:
 						led.probesDropped.Add(1)
 					}
+				}
+				if !fired {
+					fired = true
+					close(firstKill)
 				}
 			}
 		}()
@@ -968,7 +1008,7 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 		go func(id int) {
 			defer wg.Done()
 			gen := rng.New(rng.KindSplitMix, cfg.Seed+uint64(id)*0x9E3779B97F4A7C15+1)
-			for remaining.Add(-1) >= 0 {
+			for more() {
 				if err := chaosRound(client, cfg, led, gen, tick, probes, &latMu, &latencies); err != nil {
 					fail(err)
 					return
@@ -1177,11 +1217,18 @@ func chaosRound(client *Client, cfg ChaosConfig, led *chaosLedger, gen rng.Sourc
 	return nil
 }
 
+// onDeath records that the killer is about to kill victim.
+func (led *chaosLedger) onDeath(victim int) {
+	led.mu.Lock()
+	defer led.mu.Unlock()
+	led.dying[victim] = true
+}
+
 // killedNode reports whether the node is known killed.
 func (led *chaosLedger) killedNode(id int) bool {
 	led.mu.Lock()
 	defer led.mu.Unlock()
-	return led.killed[id]
+	return led.killed[id] || led.dying[id]
 }
 
 // sleepUntilDeadlines waits until every orphan and abandon deadline has

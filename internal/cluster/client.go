@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -214,10 +213,14 @@ func (c *Client) nextRID() uint64 { return c.ridSeq.Add(1) | 1<<63 }
 // fallback hop carries the same identity the wire frame would.
 func ridString(rid uint64) string { return wire.RIDString(rid) }
 
-// beginSpan opens the client-side span of one routed operation. The same rid
-// the member-side spans record makes `lactl trace` joinable across the two
+// beginSpan opens the client-side span of one routed operation, or returns
+// nil without formatting the rid when tracing is off. The same rid the
+// member-side spans record makes `lactl trace` joinable across the two
 // rings; hop time lands in the route phase, inter-round sleeps in backoff.
 func (c *Client) beginSpan(op string, rid uint64) *trace.Op {
+	if !c.cfg.Tracer.Enabled() {
+		return nil
+	}
 	return c.cfg.Tracer.Begin(op, ridString(rid))
 }
 
@@ -275,11 +278,7 @@ func wireRequestFor(body any, req *wire.Request) bool {
 // returns the member's status, the epoch it advertised on a fence, and the
 // retry hint on a 503.
 func (c *Client) hop(m Member, epoch uint64, rid uint64, sp *trace.Op, body any, out *GrantResponse, path string) (status int, fencedAt uint64, retry time.Duration, err error) {
-	var mark time.Time
-	if sp != nil {
-		mark = time.Now()
-		defer func() { sp.Phase(trace.PhaseRoute, time.Since(mark)) }()
-	}
+	defer sp.PhaseSince(trace.PhaseRoute, sp.Mark())
 	if wc := c.wireFor(m); wc != nil {
 		call := clientCallPool.Get().(*clientCall)
 		if wireRequestFor(body, &call.req) {
@@ -420,10 +419,11 @@ func (c *Client) Acquire(ttlMillis int64) (GrantResponse, int, time.Duration, er
 	}
 }
 
-// routed sends one owner-addressed operation with refresh-and-retry routing.
-func (c *Client) routed(path string, name int, body any, out *GrantResponse) (int, error) {
+// routed sends one owner-addressed operation with refresh-and-retry routing;
+// op names its client-side span.
+func (c *Client) routed(op, path string, name int, body any, out *GrantResponse) (int, error) {
 	rid := c.nextRID()
-	sp := c.beginSpan("client"+strings.ReplaceAll(path, "/", "."), rid)
+	sp := c.beginSpan(op, rid)
 	var lastErr error
 	for round := 0; ; round++ {
 		t := c.Table()
@@ -470,13 +470,13 @@ func (c *Client) routed(path string, name int, body any, out *GrantResponse) (in
 // Renew extends a lease through the partition's owner.
 func (c *Client) Renew(name int, token uint64, ttlMillis int64) (GrantResponse, int, error) {
 	var grant GrantResponse
-	status, err := c.routed("/renew", name, server.RenewRequest{Name: name, Token: token, TTLMillis: ttlMillis}, &grant)
+	status, err := c.routed("client.renew", "/renew", name, server.RenewRequest{Name: name, Token: token, TTLMillis: ttlMillis}, &grant)
 	return grant, status, err
 }
 
 // Release frees a lease through the partition's owner.
 func (c *Client) Release(name int, token uint64) (int, error) {
-	return c.routed("/release", name, server.ReleaseRequest{Name: name, Token: token}, nil)
+	return c.routed("client.release", "/release", name, server.ReleaseRequest{Name: name, Token: token}, nil)
 }
 
 // CollectNode fetches one member's registered names (GET /collect).

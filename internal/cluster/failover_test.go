@@ -287,6 +287,66 @@ func TestChaosRunCleanWithoutKills(t *testing.T) {
 	}
 }
 
+// TestChaosLoadOutlastsFirstKill: a run whose acquires finish before the
+// first kill tick keeps its clients going until that kill has failed over,
+// so a fast client cannot end a kill-scheduled run with nothing killed.
+func TestChaosLoadOutlastsFirstKill(t *testing.T) {
+	l := fastLocal(t, 3, 4, 128)
+	const acquires = 50
+	report, err := RunChaos(ChaosConfig{
+		Local:        l,
+		Clients:      4,
+		Acquires:     acquires,
+		TTL:          300 * time.Millisecond,
+		Seed:         17,
+		KillEvery:    300 * time.Millisecond,
+		MinAlive:     2,
+		ReclaimSlack: 400 * time.Millisecond,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("RunChaos: %v", err)
+	}
+	if v := report.Violations(); v != nil {
+		t.Fatalf("chaos violations: %v\nreport: %+v", v, report)
+	}
+	if report.Kills != 1 || report.EpochBumps != 1 {
+		t.Fatalf("kills %d epoch bumps %d, want 1 and 1", report.Kills, report.EpochBumps)
+	}
+	if report.Elapsed < 300*time.Millisecond {
+		t.Fatalf("load ended after %v, before the first kill tick", report.Elapsed)
+	}
+	if report.Acquires-report.FillAcquired <= acquires {
+		t.Fatalf("clients acquired %d, want more than the %d configured", report.Acquires-report.FillAcquired, acquires)
+	}
+}
+
+// TestLedgerExcusesSessionsOfADyingNode: between a kill and the killer
+// observing its failover, a client can already reach the adopter and have a
+// dead lease's renew or release rejected. The ledger must blame the kill, not
+// the cluster, and still sweep the session whose renew was rejected into
+// the orphans whose reissue it verifies.
+func TestLedgerExcusesSessionsOfADyingNode(t *testing.T) {
+	led := newChaosLedger()
+	now := time.Now()
+	deadline := now.Add(time.Second).UnixMilli()
+	led.onAcquire(GrantResponse{Name: 1, Token: 11, DeadlineUnixMillis: deadline, NodeID: 0, Partition: 2}, now)
+	led.onAcquire(GrantResponse{Name: 2, Token: 12, DeadlineUnixMillis: deadline, NodeID: 0, Partition: 2}, now)
+	led.onDeath(0)
+
+	if got := led.classifyFailure(1, 11, now); got != failureKilled {
+		t.Fatalf("renew rejected on a dying node classified %d, want failureKilled", got)
+	}
+	h, ok := led.beginRelease(2, 12)
+	if !ok || !led.killedNode(h.node) {
+		t.Fatalf("release of a dying node's lease: held %v, node %d killed %v", ok, h.node, led.killedNode(h.node))
+	}
+	probes := led.onKill(0, []int{2}, now, time.Second)
+	if len(probes) != 1 || probes[0].name != 1 || led.orphaned[1] == nil {
+		t.Fatalf("sweep after the bump: probes %+v, orphan %+v; want name 1 orphaned", probes, led.orphaned[1])
+	}
+}
+
 // TestChaosRunSurvivesNodeKill is the in-process acceptance test: a chaos
 // run with a mid-run node kill must stay violation-free, observe the epoch
 // bump, and reissue every orphan.

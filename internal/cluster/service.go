@@ -56,15 +56,14 @@ func (n *Node) fence(c server.Call) error {
 }
 
 // rlock takes the table read lock for one op, charging the wait to the
-// span's queue phase and stamping the epoch the op runs under.
+// span's queue phase and stamping the epoch the op runs under. A traced op
+// that finds the lock free reads no clock: it waited for nothing.
 func (n *Node) rlock(sp *trace.Op) {
-	if sp == nil {
+	if sp == nil || !n.mu.TryRLock() {
+		mark := sp.Mark()
 		n.mu.RLock()
-		return
+		sp.PhaseSince(trace.PhaseQueue, mark)
 	}
-	mark := time.Now()
-	n.mu.RLock()
-	sp.Phase(trace.PhaseQueue, time.Since(mark))
 	sp.SetEpoch(n.table.Epoch)
 }
 

@@ -266,6 +266,31 @@ func (m *Manager) journalRUnlock() {
 	}
 }
 
+// lockEntry takes the checkpoint barrier's read side and e's lock, charging
+// the wait to sp's lock-wait phase. A traced op that finds both free reads
+// no clock: it waited for nothing.
+func (m *Manager) lockEntry(e *entry, sp *trace.Op) {
+	if sp != nil && m.tryLockEntry(e) {
+		return
+	}
+	mark := sp.Mark()
+	m.journalRLock()
+	e.mu.Lock()
+	sp.PhaseSince(trace.PhaseLockWait, mark)
+}
+
+// tryLockEntry takes the locks lockEntry takes if it can do so at once.
+func (m *Manager) tryLockEntry(e *entry) bool {
+	if m.journal != nil && !m.journalMu.TryRLock() {
+		return false
+	}
+	if e.mu.TryLock() {
+		return true
+	}
+	m.journalRUnlock()
+	return false
+}
+
 // MustNewManager is NewManager but panics on error; for tests and examples.
 func MustNewManager(arr activity.Array, cfg Config) *Manager {
 	m, err := NewManager(arr, cfg)
@@ -416,14 +441,9 @@ func (m *Manager) AcquireSpan(ttl time.Duration, sp *trace.Op) (Lease, error) {
 	}
 	h := m.getHandle()
 	m.pendingGets.Add(1)
-	var mark time.Time
-	if sp != nil {
-		mark = time.Now()
-	}
+	mark := sp.Mark()
 	name, err := h.Get()
-	if sp != nil {
-		sp.Phase(trace.PhaseLeaseTable, time.Since(mark))
-	}
+	sp.PhaseSince(trace.PhaseLeaseTable, mark)
 	if err != nil {
 		m.pendingGets.Add(-1)
 		m.putHandle(h)
@@ -438,14 +458,7 @@ func (m *Manager) AcquireSpan(ttl time.Duration, sp *trace.Op) (Lease, error) {
 		deadline = m.now().Add(ttl).UnixNano()
 	}
 	e := &m.entries[name]
-	if sp != nil {
-		mark = time.Now()
-	}
-	m.journalRLock()
-	e.mu.Lock()
-	if sp != nil {
-		sp.Phase(trace.PhaseLockWait, time.Since(mark))
-	}
+	m.lockEntry(e, sp)
 	e.active = true
 	e.token = token
 	e.deadline = deadline
@@ -504,15 +517,7 @@ func (m *Manager) RenewSpan(name int, token uint64, ttl time.Duration, sp *trace
 		deadline = m.now().Add(ttl).UnixNano()
 	}
 	e := &m.entries[name]
-	var mark time.Time
-	if sp != nil {
-		mark = time.Now()
-	}
-	m.journalRLock()
-	e.mu.Lock()
-	if sp != nil {
-		sp.Phase(trace.PhaseLockWait, time.Since(mark))
-	}
+	m.lockEntry(e, sp)
 	if !e.active {
 		e.mu.Unlock()
 		m.journalRUnlock()
@@ -572,15 +577,7 @@ func (m *Manager) ReleaseSpan(name int, token uint64, sp *trace.Op) error {
 		return fmt.Errorf("lease: name %d outside namespace [0, %d): %w", name, len(m.entries), ErrNotLeased)
 	}
 	e := &m.entries[name]
-	var mark time.Time
-	if sp != nil {
-		mark = time.Now()
-	}
-	m.journalRLock()
-	e.mu.Lock()
-	if sp != nil {
-		sp.Phase(trace.PhaseLockWait, time.Since(mark))
-	}
+	m.lockEntry(e, sp)
 	if !e.active {
 		e.mu.Unlock()
 		m.journalRUnlock()

@@ -10,6 +10,7 @@ import (
 	"github.com/levelarray/levelarray/internal/core"
 	"github.com/levelarray/levelarray/internal/shard"
 	"github.com/levelarray/levelarray/internal/tas"
+	"github.com/levelarray/levelarray/internal/trace"
 )
 
 // fakeClock is a manually advanced time source for driving Tick directly.
@@ -552,4 +553,47 @@ func TestStartAfterCloseIsNoop(t *testing.T) {
 		t.Fatal("Start after Close launched an expirer")
 	}
 	m.Close() // must not hang
+}
+
+// TestLockWaitPhase: a traced op charges the time it waited for a held entry
+// lock to its lock-wait phase, and one that found the lock free charges
+// nothing.
+func TestLockWaitPhase(t *testing.T) {
+	m, _ := newTestManager(t, 8)
+	rec := trace.New(trace.Config{Enabled: true, SlowThreshold: time.Hour})
+	sp := rec.Begin("acquire", "free")
+	l, err := m.AcquireSpan(0, sp)
+	if err != nil {
+		t.Fatalf("AcquireSpan: %v", err)
+	}
+	sp.Finish("")
+
+	const hold = 20 * time.Millisecond
+	e := &m.entries[l.Name]
+	e.mu.Lock()
+	sp = rec.Begin("release", "held")
+	calling := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		close(calling)
+		done <- m.ReleaseSpan(l.Name, l.Token, sp)
+	}()
+	<-calling
+	time.Sleep(hold)
+	e.mu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatalf("ReleaseSpan: %v", err)
+	}
+	sp.Finish("")
+
+	spans := rec.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("%d spans, want 2", len(spans))
+	}
+	if w := spans[0].PhaseNanos[trace.PhaseLockWait]; w != 0 {
+		t.Fatalf("uncontended acquire charged %v to lock-wait, want 0", time.Duration(w))
+	}
+	if w := time.Duration(spans[1].PhaseNanos[trace.PhaseLockWait]); w < hold/2 {
+		t.Fatalf("release behind a lock held %v charged %v to lock-wait", hold, w)
+	}
 }

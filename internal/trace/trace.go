@@ -48,7 +48,8 @@ const (
 	PhaseFsyncWait
 	// PhaseWireEncode is response-frame encoding on the wire server.
 	PhaseWireEncode
-	// PhaseFlush is the response flush (syscall write) on the wire server.
+	// PhaseFlush is the response write and its flush (syscall write) on the
+	// wire server.
 	PhaseFlush
 	// PhaseRoute is a routed cluster client's per-hop round-trip time.
 	PhaseRoute
@@ -278,7 +279,8 @@ func (r *Recorder) Begin(op, rid string) *Op {
 	o.span.RID = rid
 	o.span.Node = r.node
 	o.span.Partition = -1
-	o.span.StartUnixNano = time.Now().UnixNano()
+	o.start = time.Now()
+	o.span.StartUnixNano = o.start.UnixNano()
 	return o
 }
 
@@ -303,6 +305,7 @@ func (r *Recorder) SlowSpans() []Span {
 type Op struct {
 	rec    *Recorder
 	forced bool
+	start  time.Time // Begin's reading; marks are monotonic offsets from it
 	span   Span
 }
 
@@ -345,6 +348,28 @@ func (o *Op) Phase(p Phase, d time.Duration) {
 	}
 }
 
+// Mark reads the span's clock: the monotonic time since Begin, one clock
+// read (a wall-clock time.Now costs two). Phases are timed between marks. A
+// nil Op reads no clock and returns 0, so call sites need no nil check.
+func (o *Op) Mark() time.Duration {
+	if o == nil {
+		return 0
+	}
+	return time.Since(o.start)
+}
+
+// PhaseSince charges p with the time since mark, a value Mark or
+// PhaseSince returned, and returns the new mark, so back-to-back phases
+// share the clock read at their boundary. A nil Op reads no clock.
+func (o *Op) PhaseSince(p Phase, mark time.Duration) time.Duration {
+	if o == nil {
+		return 0
+	}
+	now := time.Since(o.start)
+	o.Phase(p, now-mark)
+	return now
+}
+
 // Traced reports whether the op carries a live span — the wire client uses
 // it to decide whether to set the frame's trace flag.
 func (o *Op) Traced() bool { return o != nil }
@@ -353,12 +378,19 @@ func (o *Op) Traced() bool { return o != nil }
 // the slow ring when it met the threshold, and into the main ring when the
 // sampling counter selects it. errCode is "" for success.
 func (o *Op) Finish(errCode string) {
+	o.FinishAt(o.Mark(), errCode)
+}
+
+// FinishAt is Finish with the span sealed at mark, a reading Mark or
+// PhaseSince took as the operation's last phase ended, so the end costs no
+// clock read of its own.
+func (o *Op) FinishAt(mark time.Duration, errCode string) {
 	if o == nil {
 		return
 	}
 	r := o.rec
 	o.span.Err = errCode
-	o.span.DurationNanos = time.Now().UnixNano() - o.span.StartUnixNano
+	o.span.DurationNanos = mark.Nanoseconds()
 	r.finished.Add(1)
 	if o.span.DurationNanos >= r.slowNanos.Load() {
 		r.slow.Add(1)

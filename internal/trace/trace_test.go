@@ -40,7 +40,11 @@ func TestNilSafety(t *testing.T) {
 	if sp.Traced() || sp.RID() != "" {
 		t.Fatal("nil op traced")
 	}
+	if m := sp.PhaseSince(PhaseFlush, sp.Mark()); m != 0 {
+		t.Fatalf("nil op marked %v", m)
+	}
 	sp.Finish("boom")
+	sp.FinishAt(time.Second, "boom")
 
 	var l *EventLog
 	l.Emit(Event{Type: EvEpochBump})
@@ -97,6 +101,32 @@ func TestSpanPhaseAttribution(t *testing.T) {
 	}
 	if s.DurationNanos < 0 {
 		t.Fatalf("negative duration %d", s.DurationNanos)
+	}
+}
+
+// TestMarksChainPhases: PhaseSince charges the time between marks and hands
+// back the boundary it read, so back-to-back phases tile the span with no gap
+// or overlap, and FinishAt seals the span at the last boundary.
+func TestMarksChainPhases(t *testing.T) {
+	r := New(Config{Enabled: true, SlowThreshold: time.Hour})
+	sp := r.Begin("acquire", "la-7")
+	start := sp.Mark()
+	time.Sleep(2 * time.Millisecond)
+	mid := sp.PhaseSince(PhaseLockWait, start)
+	time.Sleep(time.Millisecond)
+	end := sp.PhaseSince(PhaseFlush, mid)
+	sp.FinishAt(end, "")
+
+	got := r.Spans()[0]
+	lock, flush := got.PhaseNanos[PhaseLockWait], got.PhaseNanos[PhaseFlush]
+	if lock != int64(mid-start) || flush != int64(end-mid) {
+		t.Fatalf("phases lock-wait %d flush %d, want %d and %d", lock, flush, mid-start, end-mid)
+	}
+	if lock < int64(2*time.Millisecond) || flush < int64(time.Millisecond) {
+		t.Fatalf("phases lock-wait %v flush %v shorter than the sleeps", time.Duration(lock), time.Duration(flush))
+	}
+	if got.DurationNanos != int64(end) {
+		t.Fatalf("duration %d, want the last mark %d", got.DurationNanos, end)
 	}
 }
 

@@ -157,16 +157,9 @@ func (l *log) intervalLoop() {
 // so a slow-op trace separates "stuck behind the log lock" from "paying the
 // durability tax".
 func (l *log) append(sp *trace.Op, frames []byte) error {
-	var mark time.Time
-	if sp != nil {
-		mark = time.Now()
-	}
+	mark := sp.Mark()
 	l.mu.Lock()
-	if sp != nil {
-		now := time.Now()
-		sp.Phase(trace.PhaseQueue, now.Sub(mark))
-		mark = now
-	}
+	mark = sp.PhaseSince(trace.PhaseQueue, mark)
 	if l.f == nil {
 		l.mu.Unlock()
 		return fmt.Errorf("wal: log closed")
@@ -179,11 +172,7 @@ func (l *log) append(sp *trace.Op, frames []byte) error {
 	ticket := l.writes
 	l.appends.Add(1)
 	l.bytes.Add(uint64(len(frames)))
-	if sp != nil {
-		now := time.Now()
-		sp.Phase(trace.PhaseWALAppend, now.Sub(mark))
-		mark = now
-	}
+	mark = sp.PhaseSince(trace.PhaseWALAppend, mark)
 
 	if l.policy != SyncAlways {
 		l.mu.Unlock()
@@ -193,11 +182,7 @@ func (l *log) append(sp *trace.Op, frames []byte) error {
 	// Group commit: wait until some fsync covers our ticket. If nobody is
 	// flushing, become the flusher; otherwise wait for the current flush
 	// to land and re-check (it may have started before our write).
-	defer func() {
-		if sp != nil {
-			sp.Phase(trace.PhaseFsyncWait, time.Since(mark))
-		}
-	}()
+	defer sp.PhaseSince(trace.PhaseFsyncWait, mark)
 	for l.synced < ticket {
 		if !l.syncing {
 			l.syncing = true

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,15 +77,17 @@ func (c *ClientConfig) withDefaults() ClientConfig {
 type Counters struct {
 	Dials      uint64 // connections established (first dial + reconnects)
 	Ops        uint64 // requests completed (success or error response)
-	FramesSent uint64 // request frames written
-	Flushes    uint64 // write-side flushes (syscalls); FramesSent/Flushes = frames per flush
+	FramesSent uint64 // request frames handed to the kernel
+	Flushes    uint64 // write syscalls; FramesSent/Flushes = frames per flush
 	Backoffs   uint64 // calls failed fast inside a redial-backoff window
 }
 
 // Client is a pooled wire-protocol client. Each pooled connection supports
-// pipelining: concurrent callers enqueue frames under a short write lock and
-// a single reader goroutine matches responses by request ID, so in-flight
-// depth scales with callers, not connections. Dead connections are redialed
+// pipelining: concurrent callers append their frames to the connection's
+// queue under a short lock, one writer goroutine hands everything queued to
+// the kernel in one write, and one reader goroutine matches responses by
+// request ID, so in-flight depth scales with callers, not connections, and
+// concurrent callers share write syscalls. Dead connections are redialed
 // lazily on the next call that lands on them.
 type Client struct {
 	addr string
@@ -101,6 +104,8 @@ type Client struct {
 	flushes    atomic.Uint64
 	backoffs   atomic.Uint64
 	jitter     atomic.Uint64 // splitmix state for backoff jitter
+
+	loops sync.WaitGroup // every connection's reader and writer; Close waits
 }
 
 // slot is one pooled-connection cell; c is nil until first use and after a
@@ -113,16 +118,21 @@ type slot struct {
 	nextDialAt time.Time
 }
 
-// conn is one live connection plus its pipelining state.
+// conn is one live connection plus its pipelining state: callers queue
+// encoded frames in out, one writer goroutine (writeLoop) drains them and
+// one reader goroutine (readLoop) completes the pending calls.
 type conn struct {
-	cl  *Client
-	nc  net.Conn
-	wmu sync.Mutex // serializes frame writes
-	bw  *bufio.Writer
-	// queued counts callers that have committed to writing but not yet
-	// finished; the last writer out flushes, so bursts of concurrent calls
-	// coalesce into one syscall (write-combining).
-	queued atomic.Int32
+	cl *Client
+	nc net.Conn
+
+	wmu     sync.Mutex // guards out, frames and writing
+	out     []byte     // encoded frames queued for the writer
+	frames  int        // frames in out
+	writing bool       // the writer was woken and has not yet found out empty
+	// wake carries one token per idle-to-writing transition, so a caller's
+	// send never blocks: only the caller that sets writing sends.
+	wake chan struct{}
+	stop chan struct{} // closed by fail: the writer exits
 
 	pmu     sync.Mutex
 	pending map[uint64]*call
@@ -130,11 +140,13 @@ type conn struct {
 	err     error // first fatal error, set before dead; read after dead
 }
 
-// call is one in-flight request awaiting its response frame.
+// call is one in-flight request awaiting its response frame. Its timer
+// travels with it through callPool, so a call costs no timer allocation.
 type call struct {
-	done chan struct{}
-	resp Response
-	err  error
+	done  chan struct{}
+	timer *time.Timer
+	resp  Response
+	err   error
 }
 
 var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
@@ -165,8 +177,9 @@ func (c *Client) Counters() Counters {
 	}
 }
 
-// Close tears down every pooled connection. In-flight calls fail with
-// ErrClientClosed.
+// Close tears down every pooled connection and returns once each
+// connection's reader and writer goroutines have exited. In-flight calls
+// fail with ErrClientClosed.
 func (c *Client) Close() {
 	c.closed.Store(true)
 	for _, s := range c.slots {
@@ -176,6 +189,7 @@ func (c *Client) Close() {
 		}
 		s.mu.Unlock()
 	}
+	c.loops.Wait()
 }
 
 // Do performs one request/response exchange. When req.ID is zero the client
@@ -226,17 +240,21 @@ func (c *Client) connFor(s *slot) (*conn, error) {
 	cn := &conn{
 		cl:      c,
 		nc:      nc,
-		bw:      bufio.NewWriterSize(nc, 64<<10),
+		wake:    make(chan struct{}, 1),
+		stop:    make(chan struct{}),
 		pending: make(map[uint64]*call),
 	}
 	c.dials.Add(1)
 	s.c.Store(cn)
+	c.loops.Add(2)
 	go cn.readLoop()
+	go cn.writeLoop()
 	return cn, nil
 }
 
-// roundTrip sends req and blocks for its response (other callers' frames may
-// interleave on the same connection meanwhile).
+// roundTrip queues req for the connection's writer and blocks for its
+// response (other callers' frames may interleave on the connection
+// meanwhile).
 func (cn *conn) roundTrip(req *Request, resp *Response, timeout time.Duration) error {
 	id := req.ID
 	if id == 0 {
@@ -256,70 +274,87 @@ func (cn *conn) roundTrip(req *Request, resp *Response, timeout time.Duration) e
 	cn.pending[id] = ca
 	cn.pmu.Unlock()
 
-	// Write the frame. queued is incremented before taking the write lock:
-	// a writer that sees queued > 0 after its own write skips the flush,
-	// because a later writer is already committed to flushing.
-	cn.queued.Add(1)
 	cn.wmu.Lock()
-	frame := AppendRequest(writeBufPool.Get().([]byte)[:0], req)
-	_, werr := cn.bw.Write(frame)
-	writeBufPool.Put(frame[:0])
-	cn.cl.framesSent.Add(1)
-	if werr == nil && cn.queued.Add(-1) == 0 {
-		werr = cn.bw.Flush()
-		cn.cl.flushes.Add(1)
-	} else if werr != nil {
-		cn.queued.Add(-1)
-	}
+	cn.out = AppendRequest(cn.out, req)
+	cn.frames++
+	wake := !cn.writing
+	cn.writing = true
 	cn.wmu.Unlock()
-	if werr != nil {
-		cn.fail(werr)
+	if wake {
+		cn.wake <- struct{}{}
 	}
 
-	var timer *time.Timer
-	var timeoutCh <-chan time.Time
-	if timeout > 0 {
-		timer = time.NewTimer(timeout)
-		timeoutCh = timer.C
+	// Timer channels are synchronous (go 1.23+), so a timer stopped or
+	// reset here never delivers a tick from its previous call.
+	if ca.timer == nil {
+		ca.timer = time.NewTimer(timeout)
+	} else {
+		ca.timer.Reset(timeout)
 	}
 	select {
 	case <-ca.done:
-		if timer != nil {
-			timer.Stop()
-		}
-		err := ca.err
-		if err == nil {
-			// Move the response out before pooling the call; swapping the
-			// backing storage keeps both sides allocation-free.
-			*resp, ca.resp = ca.resp, *resp
-		}
-		callPool.Put(ca)
-		cn.cl.ops.Add(1)
-		return err
-	case <-timeoutCh:
+		ca.timer.Stop()
+	case <-ca.timer.C:
 		// The response stream can no longer be trusted to line up with
 		// pending IDs cheaply; kill the connection. The reader (or fail)
 		// completes ca, which we must wait for before pooling it. If the
 		// response raced the timer and won, honor it.
 		cn.fail(fmt.Errorf("wire: call timeout after %v", timeout))
 		<-ca.done
-		err := ca.err
-		if err == nil {
-			*resp, ca.resp = ca.resp, *resp
-		}
-		callPool.Put(ca)
-		if err == nil {
-			cn.cl.ops.Add(1)
-		}
-		return err
 	}
+	err := ca.err
+	if err == nil {
+		// Move the response out before pooling the call; swapping the
+		// backing storage keeps both sides allocation-free.
+		*resp, ca.resp = ca.resp, *resp
+		cn.cl.ops.Add(1)
+	}
+	callPool.Put(ca)
+	return err
 }
 
-var writeBufPool = sync.Pool{New: func() any { return make([]byte, 0, 4096) }}
+// writeLoop is the connection's single writer. Woken by the caller that
+// queued the first frame into an idle connection, it yields once so callers
+// the reader has just woken can queue their frames behind that one, then
+// hands everything queued to the kernel in one write, and repeats until the
+// queue is empty. Without the yield the writer runs as soon as its waker
+// blocks, ahead of the callers already runnable, and writes one frame per
+// syscall.
+func (cn *conn) writeLoop() {
+	defer cn.cl.loops.Done()
+	var buf []byte
+	for {
+		select {
+		case <-cn.wake:
+		case <-cn.stop:
+			return
+		}
+		runtime.Gosched()
+		for {
+			cn.wmu.Lock()
+			frames := cn.frames
+			if frames == 0 {
+				cn.writing = false
+				cn.wmu.Unlock()
+				break
+			}
+			buf, cn.out = cn.out, buf[:0]
+			cn.frames = 0
+			cn.wmu.Unlock()
+			if _, err := cn.nc.Write(buf); err != nil {
+				cn.fail(err)
+				return
+			}
+			cn.cl.framesSent.Add(uint64(frames))
+			cn.cl.flushes.Add(1)
+		}
+	}
+}
 
 // readLoop is the connection's single reader: it decodes response frames and
 // completes the matching pending call.
 func (cn *conn) readLoop() {
+	defer cn.cl.loops.Done()
 	br := bufio.NewReaderSize(cn.nc, 64<<10)
 	var hdr [HeaderLen]byte
 	var payload []byte
@@ -354,8 +389,9 @@ func (cn *conn) readLoop() {
 	}
 }
 
-// fail marks the connection dead, closes it, and completes every pending
-// call with err. Safe to call multiple times; the first error wins.
+// fail marks the connection dead, stops its writer, closes it, and completes
+// every pending call with err. Safe to call multiple times; the first error
+// wins.
 func (cn *conn) fail(err error) {
 	cn.pmu.Lock()
 	if cn.dead.Load() {
@@ -367,6 +403,7 @@ func (cn *conn) fail(err error) {
 	pending := cn.pending
 	cn.pending = make(map[uint64]*call)
 	cn.pmu.Unlock()
+	close(cn.stop)
 	cn.nc.Close()
 	for _, ca := range pending {
 		ca.err = err

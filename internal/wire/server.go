@@ -6,7 +6,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/levelarray/levelarray/internal/trace"
 )
@@ -188,21 +187,20 @@ func (s *Server) serveConn(c net.Conn) {
 			resp.Status = StatusBadRequest
 			resp.Code = CodeBadRequest
 		} else {
-			if sp = s.tracer.Begin(req.Op.String(), RIDString(req.ID)); sp != nil && req.Trace {
-				sp.Force()
+			// The rid is formatted only for a span: with tracing off a
+			// frame formats nothing.
+			if s.tracer.Enabled() {
+				if sp = s.tracer.Begin(req.Op.String(), RIDString(req.ID)); sp != nil && req.Trace {
+					sp.Force()
+				}
 			}
 			req.Span = sp
 			s.backend.ServeWire(&req, &resp)
 		}
 
-		var mark time.Time
-		if sp != nil {
-			mark = time.Now()
-		}
+		mark := sp.Mark()
 		out = AppendResponse(out[:0], h.Op, h.ID, &resp)
-		if sp != nil {
-			sp.Phase(trace.PhaseWireEncode, time.Since(mark))
-		}
+		mark = sp.PhaseSince(trace.PhaseWireEncode, mark)
 		if _, err := w.Write(out); err != nil {
 			return
 		}
@@ -211,23 +209,21 @@ func (s *Server) serveConn(c net.Conn) {
 		// bytes are already buffered, the client is pipelining and will
 		// happily wait one more turn for a combined flush.
 		if r.Buffered() == 0 {
-			if sp != nil {
-				mark = time.Now()
-			}
 			if err := w.Flush(); err != nil {
 				return
 			}
 			s.flushes.Add(1)
-			if sp != nil {
-				sp.Phase(trace.PhaseFlush, time.Since(mark))
-			}
+			mark = sp.PhaseSince(trace.PhaseFlush, mark)
 		}
 		if sp != nil {
 			errCode := ""
 			if resp.Status != StatusOK {
 				errCode = resp.Code.String()
 			}
-			sp.Finish(errCode)
+			// The span ends at its last phase boundary, which reads no
+			// clock of its own; an unflushed frame's copy into the write
+			// buffer is left out.
+			sp.FinishAt(mark, errCode)
 		}
 	}
 }

@@ -53,6 +53,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"github.com/levelarray/levelarray/internal/trace"
 )
@@ -286,8 +287,12 @@ func ParseHeader(buf []byte) (Header, error) {
 
 // RIDString renders a frame request ID in the canonical request-ID spelling
 // the routed cluster client uses for its HTTP hops ("la-rt-%x"), so one
-// operation keeps one trace identity across both protocols.
-func RIDString(id uint64) string { return fmt.Sprintf("la-rt-%x", id) }
+// operation keeps one trace identity across both protocols. It runs once
+// per traced frame, so it formats without fmt.
+func RIDString(id uint64) string {
+	var buf [len("la-rt-") + 16]byte
+	return string(strconv.AppendUint(append(buf[:0], "la-rt-"...), id, 16))
+}
 
 // Ref addresses one lease in a request: the fencing pair every Renew and
 // Release must present.

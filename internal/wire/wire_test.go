@@ -3,9 +3,13 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -93,6 +97,14 @@ func requestCases() []Request {
 		{Op: OpJoin, ID: 13, Blob: []byte(`{"addr":"http://127.0.0.1:7001"}`)},
 		{Op: OpDrain, ID: 14, Blob: []byte(`{"id":2}`)},
 		{Op: OpRebalance, ID: 15},
+	}
+}
+
+func TestRIDStringSpelling(t *testing.T) {
+	for _, id := range []uint64{0, 1, 0xDEADBEEFCAFE, 1<<63 | 5, ^uint64(0)} {
+		if got, want := RIDString(id), fmt.Sprintf("la-rt-%x", id); got != want {
+			t.Fatalf("RIDString(%#x) = %q, want %q", id, got, want)
+		}
 	}
 }
 
@@ -312,13 +324,168 @@ func TestClientServerPipelined(t *testing.T) {
 	if c.Dials > 2 {
 		t.Fatalf("Dials = %d, want <= 2 (pooled conns)", c.Dials)
 	}
-	if c.Flushes > c.FramesSent {
-		t.Fatalf("Flushes %d > FramesSent %d", c.Flushes, c.FramesSent)
-	}
-	// Pipelining must combine at least some writes: with 16 goroutines on 2
-	// conns, strictly one flush per frame would mean no write combining ever
-	// happened. Allow equality only if the scheduler fully serialized us.
 	t.Logf("ops=%d dials=%d frames=%d flushes=%d", c.Ops, c.Dials, c.FramesSent, c.Flushes)
+	// With 16 goroutines on 2 conns, each connection's writer must hand the
+	// kernel the frames of several callers per write.
+	if c.FramesSent < 2*c.Flushes {
+		t.Fatalf("FramesSent %d < 2*Flushes %d: concurrent callers' frames were not coalesced", c.FramesSent, c.Flushes)
+	}
+}
+
+// silentPeer accepts connections and reads every frame sent to it without
+// ever answering.
+func silentPeer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, nc)
+			mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, _ = io.Copy(io.Discard, nc)
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		for _, nc := range conns {
+			nc.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	return ln.Addr().String()
+}
+
+func TestClientCallTimeout(t *testing.T) {
+	addr := silentPeer(t)
+	const timeout = 50 * time.Millisecond
+	cl := NewClient(addr, &ClientConfig{CallTimeout: timeout})
+
+	var req Request
+	var resp Response
+	// Time out twice on one client: the second call redials, and usually
+	// gets the first call back from callPool, fired timer included.
+	for i := 1; i <= 2; i++ {
+		req = Request{Op: OpPing}
+		start := time.Now()
+		err := cl.Do(&req, &resp)
+		if err == nil || !strings.Contains(err.Error(), "call timeout") {
+			t.Fatalf("call %d: Do = %v, want a call timeout", i, err)
+		}
+		if took := time.Since(start); took < timeout {
+			t.Fatalf("call %d failed after %v, before the %v timeout", i, took, timeout)
+		}
+		if cn := cl.slots[0].c.Load(); cn == nil || !cn.dead.Load() {
+			t.Fatalf("call %d: connection not marked dead after a timeout", i)
+		}
+		if got := cl.Counters().Dials; got != uint64(i) {
+			t.Fatalf("after call %d: Dials = %d, want %d", i, got, i)
+		}
+	}
+	if got := cl.Counters().Ops; got != 0 {
+		t.Fatalf("Ops = %d, want 0: no call was answered", got)
+	}
+	cl.Close()
+}
+
+// TestClientPeerClosesMidFlight has the peer close a connection shared by 16
+// callers while their frames are queued: every call must return, with a
+// response or an error, and Close must return once the connection's reader
+// and writer have exited.
+func TestClientPeerClosesMidFlight(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	const answered = 100
+	peerDone := make(chan struct{})
+	go func() {
+		defer close(peerDone)
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		// Refuse redials, so callers stop once the connection dies.
+		ln.Close()
+		defer nc.Close()
+		var hdr [HeaderLen]byte
+		payload := make([]byte, MaxPayload)
+		var out []byte
+		for i := 0; i < answered; i++ {
+			if _, err := io.ReadFull(nc, hdr[:]); err != nil {
+				return
+			}
+			h, err := ParseHeader(hdr[:])
+			if err != nil {
+				return
+			}
+			if _, err := io.ReadFull(nc, payload[:h.Len]); err != nil {
+				return
+			}
+			out = AppendResponse(out[:0], h.Op, h.ID, &Response{Status: StatusOK})
+			if _, err := nc.Write(out); err != nil {
+				return
+			}
+		}
+	}()
+
+	cl := NewClient(ln.Addr().String(), &ClientConfig{Conns: 1})
+	const callers = 16
+	var ok, failed atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var req Request
+			var resp Response
+			for {
+				req = Request{Op: OpPing}
+				if err := cl.Do(&req, &resp); err != nil {
+					failed.Add(1)
+					return
+				}
+				ok.Add(1)
+			}
+		}()
+	}
+	returned := make(chan struct{})
+	go func() { wg.Wait(); close(returned) }()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("callers still blocked 10s after the peer closed the connection")
+	}
+	<-peerDone
+
+	closed := make(chan struct{})
+	go func() { cl.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return")
+	}
+	if ok.Load() > answered || failed.Load() != callers {
+		t.Fatalf("%d responses and %d errors, want at most %d responses and one error per caller", ok.Load(), failed.Load(), answered)
+	}
 }
 
 func TestClientStatusAndRetryHint(t *testing.T) {
