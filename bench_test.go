@@ -980,7 +980,7 @@ func BenchmarkWireBatchLoopback(b *testing.B) {
 	wc := wire.NewClient(addr, nil)
 	defer wc.Close()
 	client := server.NewWireClient(wc)
-	grants := make([]server.LeaseResponse, 0, batch)
+	grants := make([]server.GrantResponse, 0, batch)
 	refs := make([]server.LeaseRef, 0, batch)
 	results := make([]server.RenewResult, 0, batch)
 	b.ResetTimer()

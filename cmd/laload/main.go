@@ -5,9 +5,9 @@
 // expiry. Besides throughput and acquire-latency percentiles, the run
 // verifies the lease contract end to end and exits non-zero on any
 // violation: duplicate names among concurrently held leases, names reissued
-// before an abandoned lease's TTL elapsed, lost releases, stale tokens
-// accepted after the reclaim deadline, or abandoned leases that never
-// expired. Saturation (503) responses are paced by the server's Retry-After
+// before an abandoned lease's TTL elapsed, deadlines shorter than asked for,
+// fencing tokens that do not grow, lost releases, stale tokens accepted
+// after the reclaim deadline, or abandoned leases that never expired. Saturation (503) responses are paced by the server's Retry-After
 // hint, so saturated runs measure service time, not spin.
 //
 //	go run ./cmd/laload -addr http://127.0.0.1:8080 -clients 32 -ops 50000 -crash 10
@@ -213,19 +213,7 @@ func run() error {
 		fmt.Sprintf("laload: %d clients, ttl %v, crash %d%%, renew %d%%, proto %s%s against %s",
 			*clients, *ttl, *crash, *renew, proto, mode, *addr),
 		"metric", "value")
-	tbl.AddRow("operations (verified)", fmt.Sprintf("%d", report.Ops()))
-	tbl.AddRow("  acquires", fmt.Sprintf("%d", report.Acquires))
-	tbl.AddRow("  renews", fmt.Sprintf("%d", report.Renews))
-	tbl.AddRow("  releases", fmt.Sprintf("%d", report.Releases))
-	tbl.AddRow("  crashes (abandoned)", fmt.Sprintf("%d", report.Crashes))
-	tbl.AddRow("  stale probes rejected", fmt.Sprintf("%d", report.StaleRejected))
-	tbl.AddRow("duration", report.Elapsed.Round(time.Millisecond).String())
-	tbl.AddRow("throughput (ops/s)", fmt.Sprintf("%.0f", report.Throughput()))
-	tbl.AddRow("acquire latency p50", report.AcquireP50.String())
-	tbl.AddRow("acquire latency p90", report.AcquireP90.String())
-	tbl.AddRow("acquire latency p99", report.AcquireP99.String())
-	tbl.AddRow("acquire latency max", report.AcquireMax.String())
-	tbl.AddRow("full-namespace retries", fmt.Sprintf("%d", report.FullRetries))
+	contractRows(tbl, report.ContractReport)
 	tbl.AddRow("server expirations", fmt.Sprintf("%d", report.FinalStats.Lease.Expirations))
 	tbl.AddRow("server renew races", fmt.Sprintf("%d", report.FinalStats.Lease.RenewRaces))
 	if w := report.Wire; w != nil {
@@ -356,20 +344,8 @@ func runCluster(opts clusterOptions) error {
 		fmt.Sprintf("laload cluster: %d clients, ttl %v, crash %d%%, kill-every %v against %s",
 			opts.clients, opts.ttl, opts.crash, opts.killEvery, where),
 		"metric", "value")
-	tbl.AddRow("operations (verified)", fmt.Sprintf("%d", report.Ops()))
-	tbl.AddRow("  acquires", fmt.Sprintf("%d", report.Acquires))
-	tbl.AddRow("  renews", fmt.Sprintf("%d", report.Renews))
-	tbl.AddRow("  releases", fmt.Sprintf("%d", report.Releases))
-	tbl.AddRow("  crashes (abandoned)", fmt.Sprintf("%d", report.Crashes))
-	tbl.AddRow("  stale probes rejected", fmt.Sprintf("%d", report.StaleRejected))
-	tbl.AddRow("  fill sweep grants", fmt.Sprintf("%d", report.FillAcquired))
-	tbl.AddRow("duration (main phase)", report.Elapsed.Round(time.Millisecond).String())
-	tbl.AddRow("throughput (ops/s)", fmt.Sprintf("%.0f", report.Throughput()))
-	tbl.AddRow("acquire latency p50", report.AcquireP50.String())
-	tbl.AddRow("acquire latency p90", report.AcquireP90.String())
-	tbl.AddRow("acquire latency p99", report.AcquireP99.String())
-	tbl.AddRow("acquire latency max", report.AcquireMax.String())
-	tbl.AddRow("full/warming retries", fmt.Sprintf("%d", report.FullRetries))
+	contractRows(tbl, report.ContractReport)
+	tbl.AddRow("fill sweep grants", fmt.Sprintf("%d", report.FillAcquired))
 	tbl.AddRow("nodes killed", fmt.Sprintf("%d %v", report.Kills, report.KilledNodes))
 	if opts.restartAfter > 0 {
 		tbl.AddRow("nodes restarted", fmt.Sprintf("%d %v", report.Restarts, report.RestartedNodes))
@@ -414,6 +390,25 @@ func runCluster(opts clusterOptions) error {
 	}
 	fmt.Println("laload: cluster lease contract verified: no duplicates across nodes, no early reissues, no lost releases, all orphans fenced and reissued")
 	return nil
+}
+
+// contractRows adds the rows every verified run reports: the traffic mix,
+// the timed window and the acquire latencies.
+func contractRows(tbl *stats.Table, r server.ContractReport) {
+	tbl.AddRow("operations (verified)", fmt.Sprintf("%d", r.Ops()))
+	tbl.AddRow("  acquires", fmt.Sprintf("%d", r.Acquires))
+	tbl.AddRow("  renews", fmt.Sprintf("%d", r.Renews))
+	tbl.AddRow("  releases", fmt.Sprintf("%d", r.Releases))
+	tbl.AddRow("  crashes (abandoned)", fmt.Sprintf("%d", r.Crashes))
+	tbl.AddRow("  stale probes rejected", fmt.Sprintf("%d", r.StaleRejected))
+	tbl.AddRow("holder lapses (excused)", fmt.Sprintf("%d", r.HolderLapses))
+	tbl.AddRow("duration", r.Elapsed.Round(time.Millisecond).String())
+	tbl.AddRow("throughput (ops/s)", fmt.Sprintf("%.0f", r.Throughput()))
+	tbl.AddRow("acquire latency p50", r.AcquireP50.String())
+	tbl.AddRow("acquire latency p90", r.AcquireP90.String())
+	tbl.AddRow("acquire latency p99", r.AcquireP99.String())
+	tbl.AddRow("acquire latency max", r.AcquireMax.String())
+	tbl.AddRow("full-namespace retries", fmt.Sprintf("%d", r.FullRetries))
 }
 
 // writeJSONReport writes the report to path when set.

@@ -1,27 +1,20 @@
 package cluster
 
-// The chaos load runner: the cluster-wide analogue of server.RunLoad. Closed-
-// loop clients drive acquire/renew/release through the routed Client while a
-// killer tears down live nodes mid-run; a global ledger verifies the cluster
-// lease contract the ISSUE demands — zero duplicate names across nodes, no
-// reissue of a name before its server-stated deadline, zero lost releases,
-// stale tokens fenced — and a post-run phase proves failover healed the
+// The chaos load runner: the cluster-wide analogue of server.RunLoad, on
+// the same ledger and the same closed-loop round. Clients drive
+// acquire/renew/release through the routed Client while a killer tears
+// down live nodes mid-run; the ledger verifies the lease contract across
+// nodes, with every lease that died with its node swept into the orphans
+// whose reissue it bounds. A post-run phase proves failover healed the
 // namespace: once the reclaim deadline (TTL + 2 wheel ticks after the epoch
-// bump, plus slack) has passed, every adopted partition must grant again and
-// none of the killed node's names may be leaked.
-//
-// Every legitimacy bound in the ledger is the server's own statement — the
-// deadline_unix_ms it returned with the grant — never a client-side guess,
-// so the checks are exact: a name reissued strictly before its previous
-// lease's deadline is a violation, one reissued at or after it is not.
+// bump, plus slack) has passed, every adopted partition must grant again
+// and none of the killed node's names may be leaked.
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
-	"slices"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/levelarray/levelarray/internal/rng"
@@ -135,24 +128,11 @@ func (c ChaosConfig) withDefaults() (ChaosConfig, error) {
 	return c, nil
 }
 
-// ChaosReport is the outcome of one chaos run: the traffic mix, failover
-// accounting, and the verification ledger.
+// ChaosReport is the outcome of one chaos run: the shared report core (the
+// traffic mix, the acquire latencies and the ledger's verdict) plus the
+// failover, membership, metrics and event-journal accounting.
 type ChaosReport struct {
-	Acquires    uint64        `json:"acquires"`
-	Renews      uint64        `json:"renews"`
-	Releases    uint64        `json:"releases"`
-	Crashes     uint64        `json:"crashes"`
-	FullRetries uint64        `json:"full_retries"`
-	Elapsed     time.Duration `json:"elapsed_ns"`
-	// WindowOps counts the verified operations completed inside Elapsed:
-	// the adoption probe's grants and releases and the stale-token probes
-	// that finish after the last client are left out.
-	WindowOps uint64 `json:"window_ops"`
-
-	AcquireP50 time.Duration `json:"acquire_p50_ns"`
-	AcquireP90 time.Duration `json:"acquire_p90_ns"`
-	AcquireP99 time.Duration `json:"acquire_p99_ns"`
-	AcquireMax time.Duration `json:"acquire_max_ns"`
+	server.ContractReport
 
 	// Failover accounting.
 	Kills           int   `json:"kills"`
@@ -192,41 +172,21 @@ type ChaosReport struct {
 	// (absent from the new owner's /collect) after the reclaim deadline —
 	// equally healed, just not re-granted during the run.
 	OrphansFree int `json:"orphans_free"`
-	// KilledSessions counts operations on leases that died with their node:
-	// expected collateral, verified to be fenced, never a violation.
-	KilledSessions uint64 `json:"killed_sessions"`
-	// HolderLapses counts leases that expired under a paused holder (the
-	// client outslept its own TTL): its later renew/release is fenced, which
-	// is the contract working, not a violation.
-	HolderLapses uint64 `json:"holder_lapses"`
 	// FillAcquired counts the post-failover grantability probe's grants: the
 	// probe keeps acquiring until every adopted partition has granted at
 	// least once after the reclaim deadline.
 	FillAcquired uint64        `json:"fill_acquired"`
 	FillElapsed  time.Duration `json:"fill_elapsed_ns"`
 
-	// StaleRejected counts stale-token probes correctly bounced with 409.
-	StaleRejected uint64 `json:"stale_rejected"`
-	// ProbesDropped counts fencing probes discarded because the verifier
-	// backlog was full: those sessions' drains are still covered by the
-	// final drain check, but their tokens went unprobed. Reported so a
-	// shrunken verification surface is never silent.
-	ProbesDropped uint64 `json:"probes_dropped"`
+	// Cluster violations.
 
-	// Violations.
-	DuplicateNames  uint64 `json:"duplicate_names"`
-	EarlyReissues   uint64 `json:"early_reissues"`
-	LostReleases    uint64 `json:"lost_releases"`
-	UnexpectedStale uint64 `json:"unexpected_stale"`
-	StaleAccepted   uint64 `json:"stale_accepted"`
 	// OrphansLeaked counts killed-node names still registered (per /collect)
 	// after the reclaim deadline with no live lease the ledger knows of.
 	OrphansLeaked int `json:"orphans_leaked"`
 	// AdoptedUnserved counts failed-over partitions that never granted a
 	// name after the reclaim deadline: the quarantine failed to lift.
-	AdoptedUnserved  int   `json:"adopted_unserved"`
-	FailoverTimeouts int   `json:"failover_timeouts"`
-	Undrained        int64 `json:"undrained"`
+	AdoptedUnserved  int `json:"adopted_unserved"`
+	FailoverTimeouts int `json:"failover_timeouts"`
 
 	// Metrics-watcher verdict: the run is scraped from /metrics every
 	// chaosScrapeInterval and the observability surface itself is verified.
@@ -266,38 +226,9 @@ type ChaosReport struct {
 	Nodes   []NodeStatsResponse `json:"nodes"`
 }
 
-// Ops returns the total number of verified operations.
-func (r ChaosReport) Ops() uint64 {
-	return r.Acquires + r.Renews + r.Releases + r.StaleRejected
-}
-
-// Throughput returns the verified operations per second completed inside
-// the main phase.
-func (r ChaosReport) Throughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.WindowOps) / r.Elapsed.Seconds()
-}
-
 // Violations lists every broken cluster-contract invariant, nil when clean.
 func (r ChaosReport) Violations() []string {
-	var v []string
-	if r.DuplicateNames > 0 {
-		v = append(v, fmt.Sprintf("%d duplicate names held concurrently across the cluster", r.DuplicateNames))
-	}
-	if r.EarlyReissues > 0 {
-		v = append(v, fmt.Sprintf("%d names reissued before the previous lease's deadline", r.EarlyReissues))
-	}
-	if r.LostReleases > 0 {
-		v = append(v, fmt.Sprintf("%d releases of live leases rejected (lost release)", r.LostReleases))
-	}
-	if r.UnexpectedStale > 0 {
-		v = append(v, fmt.Sprintf("%d live renews rejected as stale", r.UnexpectedStale))
-	}
-	if r.StaleAccepted > 0 {
-		v = append(v, fmt.Sprintf("%d stale-token operations accepted after the reclaim deadline", r.StaleAccepted))
-	}
+	v := r.ContractReport.Violations()
 	if r.OrphansLeaked > 0 {
 		v = append(v, fmt.Sprintf("%d of the killed nodes' names leaked (still registered after the reclaim deadline)", r.OrphansLeaked))
 	}
@@ -321,9 +252,6 @@ func (r ChaosReport) Violations() []string {
 	}
 	if r.Joins > 0 && r.MigrationsCutover == 0 {
 		v = append(v, "members joined but no migration ever cut over (joiners never filled)")
-	}
-	if r.Undrained != 0 {
-		v = append(v, fmt.Sprintf("%d leases still active after every deadline passed", r.Undrained))
 	}
 	if r.MetricsMonotonicityViolations > 0 {
 		v = append(v, fmt.Sprintf("%d counter series went backward between scrapes", r.MetricsMonotonicityViolations))
@@ -358,327 +286,6 @@ func (r ChaosReport) Violations() []string {
 	return v
 }
 
-// heldInfo is the ledger's record of one lease some client currently holds.
-// deadline is the server's own statement from the grant (or last renew).
-// node is the granting (or last-renewing) member — advisory only, since a
-// live migration can move the lease to a new owner behind the holder's back.
-// partition is authoritative: a name's partition never changes, only the
-// partition's owner does, so kill sweeps go by partition.
-type heldInfo struct {
-	token     uint64
-	node      int
-	partition int
-	deadline  time.Time
-}
-
-// orphanInfo tracks one name a killed node held: when it may legitimately
-// reappear and whether it did.
-type orphanInfo struct {
-	name          int
-	token         uint64
-	earliestLegit time.Time // the dead lease's server-stated deadline
-	deadline      time.Time // epoch bump + TTL + 2 ticks + slack
-	reissuedAt    time.Time // zero until observed
-}
-
-// chaosLedger is the shared verification state. One mutex guards it all:
-// operations are HTTP-paced (milliseconds), so contention is negligible.
-type chaosLedger struct {
-	mu        sync.Mutex
-	held      map[int]heldInfo
-	abandoned map[int]time.Time // client-crash abandons: the lease deadline
-	orphaned  map[int]*orphanInfo
-	resolved  []*orphanInfo // orphan records whose reissue was observed
-	killed    map[int]bool  // node ID -> killed, its sessions swept (onKill)
-	// dying holds the nodes killed before the killer has seen them fail
-	// over: a client can reach an adopter, and have a dead lease rejected,
-	// before onKill runs, so those sessions may fail already, while their
-	// held records wait for onKill's sweep.
-	dying map[int]bool
-	// lapsed records (name, token) sessions whose lease expired under its
-	// own holder (the ledger saw the name re-granted at/after the old
-	// deadline); the holder's eventual renew/release 409 is then expected.
-	// Tokens alone would not do: every partition's manager mints from its
-	// own sequence, so a bare token value can be live on several names at
-	// once.
-	lapsed map[lapseKey]bool
-	// adopted records the partitions kills moved to new owners; the
-	// post-run probe must see each grant again.
-	adopted map[int]bool
-
-	duplicates      atomic.Uint64
-	earlyReissues   atomic.Uint64
-	lostReleases    atomic.Uint64
-	unexpectedStale atomic.Uint64
-	staleAccepted   atomic.Uint64
-	staleRejected   atomic.Uint64
-	fullRetries     atomic.Uint64
-	killedSessions  atomic.Uint64
-	holderLapses    atomic.Uint64
-
-	acquires      atomic.Uint64
-	renews        atomic.Uint64
-	releases      atomic.Uint64
-	crashes       atomic.Uint64
-	fills         atomic.Uint64
-	probesDropped atomic.Uint64
-
-	lastAbandon atomic.Int64 // UnixNano of the latest abandoned-lease deadline
-}
-
-// lapseKey identifies one session: token values collide across partitions,
-// names recycle — together they are unique.
-type lapseKey struct {
-	name  int
-	token uint64
-}
-
-func newChaosLedger() *chaosLedger {
-	return &chaosLedger{
-		held:      make(map[int]heldInfo),
-		abandoned: make(map[int]time.Time),
-		orphaned:  make(map[int]*orphanInfo),
-		killed:    make(map[int]bool),
-		dying:     make(map[int]bool),
-		lapsed:    make(map[lapseKey]bool),
-		adopted:   make(map[int]bool),
-	}
-}
-
-// onAcquire classifies a fresh grant against everything the ledger knows —
-// duplicate of a live lease, orphan reissue (checked against the dead
-// lease's deadline), reissue of an expired-under-holder lease, abandoned-
-// name reissue — then records the grant as held.
-func (led *chaosLedger) onAcquire(g GrantResponse, now time.Time) {
-	led.mu.Lock()
-	defer led.mu.Unlock()
-	switch {
-	case led.orphaned[g.Name] != nil:
-		rec := led.orphaned[g.Name]
-		rec.reissuedAt = now
-		if now.Before(rec.earliestLegit) {
-			led.earlyReissues.Add(1)
-		}
-		led.lapsed[lapseKey{g.Name, rec.token}] = true
-		led.resolved = append(led.resolved, rec)
-		delete(led.orphaned, g.Name)
-	case led.held[g.Name].token != 0:
-		old := led.held[g.Name]
-		switch {
-		case led.killed[old.node]:
-			// The lease died with its node but the kill sweep had not run
-			// yet: an orphan reissue, bounded by the dead lease's deadline.
-			if now.Before(old.deadline) {
-				led.earlyReissues.Add(1)
-			}
-			led.lapsed[lapseKey{g.Name, old.token}] = true
-			led.resolved = append(led.resolved, &orphanInfo{name: g.Name, token: old.token, earliestLegit: old.deadline, reissuedAt: now})
-		case !now.Before(old.deadline):
-			// The old lease expired under a holder that outslept its TTL;
-			// reissue at/after the deadline is the contract working.
-			led.lapsed[lapseKey{g.Name, old.token}] = true
-			led.holderLapses.Add(1)
-		default:
-			led.duplicates.Add(1)
-		}
-	default:
-		if earliest, ok := led.abandoned[g.Name]; ok {
-			if now.Before(earliest) {
-				led.earlyReissues.Add(1)
-			}
-			delete(led.abandoned, g.Name)
-		}
-	}
-	led.held[g.Name] = heldInfo{token: g.Token, node: g.NodeID, partition: g.Partition, deadline: time.UnixMilli(g.DeadlineUnixMillis)}
-	led.acquires.Add(1)
-}
-
-// onRenewOK installs the renewed deadline and refreshes the node attribution:
-// the renew response names the current owner, which a migration may have
-// moved since the grant.
-func (led *chaosLedger) onRenewOK(name int, token uint64, renewed GrantResponse) {
-	led.mu.Lock()
-	if h, ok := led.held[name]; ok && h.token == token {
-		h.deadline = time.UnixMilli(renewed.DeadlineUnixMillis)
-		h.node = renewed.NodeID
-		led.held[name] = h
-	}
-	led.mu.Unlock()
-	led.renews.Add(1)
-}
-
-// failureKind classifies a fenced (or transport-failed) renew/release of the
-// lease (name, token).
-type failureKind int
-
-const (
-	failureViolation failureKind = iota // nothing explains it: a real violation
-	failureKilled                       // the lease died with its killed node
-	failureLapsed                       // the lease expired under its holder
-)
-
-// classifyFailure explains a fenced renew/release. It removes the held
-// record for explained failures, since the lease is dead either way.
-func (led *chaosLedger) classifyFailure(name int, token uint64, now time.Time) failureKind {
-	led.mu.Lock()
-	defer led.mu.Unlock()
-	if rec, ok := led.orphaned[name]; ok && rec.token == token {
-		return failureKilled
-	}
-	if led.lapsed[lapseKey{name, token}] {
-		return failureLapsed
-	}
-	for _, rec := range led.resolved {
-		if rec.name == name && rec.token == token {
-			return failureKilled
-		}
-	}
-	if h, ok := led.held[name]; ok && h.token == token {
-		if led.killed[h.node] {
-			delete(led.held, name)
-			return failureKilled
-		}
-		if led.dying[h.node] {
-			return failureKilled // onKill turns the record into an orphan
-		}
-		if !now.Before(h.deadline) {
-			delete(led.held, name)
-			led.lapsed[lapseKey{name, token}] = true
-			return failureLapsed
-		}
-	}
-	return failureViolation
-}
-
-// beginRelease removes the held record BEFORE the release request is sent:
-// the server frees the name at some instant inside the HTTP exchange, and a
-// concurrent client can legitimately be granted it before our response comes
-// back — the ledger must not call that a duplicate.
-func (led *chaosLedger) beginRelease(name int, token uint64) (heldInfo, bool) {
-	led.mu.Lock()
-	defer led.mu.Unlock()
-	h, ok := led.held[name]
-	if !ok || h.token != token {
-		return heldInfo{}, false
-	}
-	delete(led.held, name)
-	return h, true
-}
-
-// onCrash abandons the lease: the name may be reissued once its
-// server-stated deadline passes. Returns the deadline, or false when the
-// lease was already orphaned or lapsed.
-func (led *chaosLedger) onCrash(name int, token uint64) (time.Time, bool) {
-	led.mu.Lock()
-	defer led.mu.Unlock()
-	h, ok := led.held[name]
-	if !ok || h.token != token {
-		return time.Time{}, false
-	}
-	delete(led.held, name)
-	led.abandoned[name] = h.deadline
-	for {
-		last := led.lastAbandon.Load()
-		if h.deadline.UnixNano() <= last || led.lastAbandon.CompareAndSwap(last, h.deadline.UnixNano()) {
-			break
-		}
-	}
-	led.crashes.Add(1)
-	return h.deadline, true
-}
-
-// onKill sweeps every lease living on the killed node into the orphan set,
-// records the partitions that changed hands, and returns the swept records
-// for fencing verification. The sweep keys on the victim's owned partitions
-// at death, not on which node granted the lease: a lease granted elsewhere
-// and migrated onto the victim died with it, while one migrated off the
-// victim before the kill is alive on its new owner and must not be orphaned.
-func (led *chaosLedger) onKill(victim int, victimParts []int, bumpAt time.Time, reclaimBound time.Duration) []staleProbe {
-	led.mu.Lock()
-	defer led.mu.Unlock()
-	led.killed[victim] = true
-	victimSet := make(map[int]bool, len(victimParts))
-	for _, p := range victimParts {
-		led.adopted[p] = true
-		victimSet[p] = true
-	}
-	var probes []staleProbe
-	for name, h := range led.held {
-		if !victimSet[h.partition] {
-			continue
-		}
-		rec := &orphanInfo{
-			name:          name,
-			token:         h.token,
-			earliestLegit: h.deadline,
-			deadline:      bumpAt.Add(reclaimBound),
-		}
-		delete(led.held, name)
-		led.orphaned[name] = rec
-		probes = append(probes, staleProbe{name: name, token: h.token, notBefore: rec.deadline})
-	}
-	return probes
-}
-
-// adoptedSnapshot returns the partitions that failed over so far.
-func (led *chaosLedger) adoptedSnapshot() []int {
-	led.mu.Lock()
-	defer led.mu.Unlock()
-	out := make([]int, 0, len(led.adopted))
-	for p := range led.adopted {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// unresolvedOrphans returns the orphan names never observed reissued.
-func (led *chaosLedger) unresolvedOrphans() []int {
-	led.mu.Lock()
-	defer led.mu.Unlock()
-	out := make([]int, 0, len(led.orphaned))
-	for name := range led.orphaned {
-		out = append(out, name)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// resolveOrphanFree marks an unresolved orphan verified-free (absent from
-// its owner's registered set after the deadline).
-func (led *chaosLedger) resolveOrphanFree(name int) {
-	led.mu.Lock()
-	defer led.mu.Unlock()
-	if rec, ok := led.orphaned[name]; ok {
-		led.resolved = append(led.resolved, rec)
-		delete(led.orphaned, name)
-	}
-}
-
-// orphanTally counts the orphan records: total events, observed reissues,
-// verified-free, and leaked (neither).
-func (led *chaosLedger) orphanTally() (events, reissued, free, leaked int) {
-	led.mu.Lock()
-	defer led.mu.Unlock()
-	events = len(led.orphaned) + len(led.resolved)
-	for _, rec := range led.resolved {
-		if rec.reissuedAt.IsZero() {
-			free++
-		} else {
-			reissued++
-		}
-	}
-	leaked = len(led.orphaned)
-	return
-}
-
-// staleProbe is one dead token queued for fencing verification.
-type staleProbe struct {
-	name      int
-	token     uint64
-	notBefore time.Time
-}
-
 // RunChaos drives one chaos run and verifies the cluster lease contract end
 // to end. See ChaosConfig and ChaosReport.
 func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
@@ -709,10 +316,15 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	if s, serr := client.NodeStats(client.Table().Alive()[0].Addr); serr == nil && s.TickMillis > 0 {
 		tick = time.Duration(s.TickMillis) * time.Millisecond
 	}
-	// reclaimBound is the contractual window after an epoch bump within
-	// which a killed node's names must be fenced and reissuable: the TTL any
-	// of its leases could still run, plus two wheel ticks, plus slack.
-	reclaimBound := cfg.TTL + 2*tick + cfg.ReclaimSlack
+
+	lp, err := server.NewLoop(server.LoopConfig{
+		Ops: client, Clients: cfg.Clients, Acquires: cfg.Acquires, TTL: cfg.TTL, HoldMean: cfg.HoldMean,
+		CrashPercent: cfg.CrashPercent, RenewPercent: cfg.RenewPercent, Seed: cfg.Seed,
+		Tick: tick, ReclaimSlack: cfg.ReclaimSlack,
+	})
+	if err != nil {
+		return ChaosReport{}, fmt.Errorf("chaos: %w", err)
+	}
 
 	// The metrics watcher scrapes /metrics from every member throughout the
 	// run; a first-scrape 404 (metrics disabled) silently turns it off. The
@@ -721,76 +333,15 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	watch := startMetricsWatcher(cfg.Targets, cfg.HTTPClient, cfg.Logf)
 	evwatch := startEventsWatcher(cfg.Targets, cfg.HTTPClient, cfg.Logf)
 
-	led := newChaosLedger()
 	var (
-		remaining atomic.Int64
-		failed    atomic.Bool
-		wg        sync.WaitGroup
-		probeWG   sync.WaitGroup
-		probes    = make(chan staleProbe, 8192)
-		latMu     sync.Mutex
-		latencies []time.Duration
-		errOnce   sync.Once
-		runErr    error
 		killDone  = make(chan struct{})
 		killStop  = make(chan struct{})
-		firstKill = make(chan struct{}) // closed once the first kill has resolved
+		firstKill chan struct{}        // closed once the first kill has resolved or the killer stopped
+		adopted   = make(map[int]bool) // partitions kills moved; the killer's until killDone
 		restartWG sync.WaitGroup
 		report    ChaosReport
 		reportMu  sync.Mutex // guards report's failover fields written by the killer
 	)
-	remaining.Store(cfg.Acquires)
-	fail := func(err error) {
-		errOnce.Do(func() { runErr = err })
-		failed.Store(true)
-	}
-	// more reports whether a client starts another round: while acquires
-	// remain, then on until the first kill has resolved or the killer has
-	// stopped (at once without a kill schedule, whose killDone is closed).
-	more := func() bool {
-		if failed.Load() {
-			return false
-		}
-		if remaining.Add(-1) >= 0 {
-			return true
-		}
-		select {
-		case <-firstKill:
-			return false
-		case <-killDone:
-			return false
-		default:
-			return true
-		}
-	}
-
-	// Fencing verifiers: once an orphan or abandon deadline has passed, its
-	// token must be dead cluster-wide — renew and release must both bounce.
-	for i := 0; i < 4; i++ {
-		probeWG.Add(1)
-		go func() {
-			defer probeWG.Done()
-			for p := range probes {
-				if wait := time.Until(p.notBefore); wait > 0 {
-					time.Sleep(wait)
-				}
-				if _, status, err := client.Renew(p.name, p.token, cfg.TTL.Milliseconds()); err == nil {
-					if status/100 == 2 {
-						led.staleAccepted.Add(1)
-					} else {
-						led.staleRejected.Add(1)
-					}
-				}
-				if status, err := client.Release(p.name, p.token); err == nil {
-					if status/100 == 2 {
-						led.staleAccepted.Add(1)
-					} else {
-						led.staleRejected.Add(1)
-					}
-				}
-			}
-		}()
-	}
 
 	// awaitFailover waits for a kill to resolve: the survivors bump the epoch
 	// past before, or — in restart mode — the victim returns first and
@@ -825,10 +376,16 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	// run then observes the epoch bump and sweeps the dead node's leases
 	// into the orphan ledger.
 	if cfg.KillEvery > 0 {
+		firstKill = make(chan struct{})
 		go func() {
-			defer close(killDone)
-			gen := rng.New(rng.KindSplitMix, cfg.Seed^0xD1CEB00C)
 			fired := false
+			defer func() {
+				if !fired {
+					close(firstKill)
+				}
+				close(killDone)
+			}()
+			gen := rng.New(rng.KindSplitMix, cfg.Seed^0xD1CEB00C)
 			ticker := time.NewTicker(cfg.KillEvery)
 			defer ticker.Stop()
 			for {
@@ -859,7 +416,7 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 				victimParts := node.Table().PartitionsOf(victim)
 				before := cfg.Local.MaxEpoch()
 				cfg.Logf("chaos: killing node %d (epoch %d, %d alive, partitions %v)", victim, before, len(alive), victimParts)
-				led.onDeath(victim)
+				lp.Dying(victim)
 				cfg.Local.Kill(victim)
 				// The restart races the failover from the moment of death,
 				// exactly as a supervised process would in production.
@@ -908,13 +465,10 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 				cfg.Logf("chaos: node %d dead; epoch now %d (bump observed: %v, restart preempted: %v)",
 					victim, cfg.Local.MaxEpoch(), bumped, resumed)
 				watch.noteKill(victimParts)
-				for _, p := range led.onKill(victim, victimParts, bumpAt, reclaimBound) {
-					select {
-					case probes <- p:
-					default:
-						led.probesDropped.Add(1)
-					}
+				for _, p := range victimParts {
+					adopted[p] = true
 				}
+				lp.Orphan(victim, victimParts, bumpAt)
 				if !fired {
 					fired = true
 					close(firstKill)
@@ -1002,23 +556,9 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 		close(growDone)
 	}
 
-	start := time.Now()
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			gen := rng.New(rng.KindSplitMix, cfg.Seed+uint64(id)*0x9E3779B97F4A7C15+1)
-			for more() {
-				if err := chaosRound(client, cfg, led, gen, tick, probes, &latMu, &latencies); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	report.Elapsed = time.Since(start)
-	report.WindowOps = led.acquires.Load() + led.renews.Load() + led.releases.Load() + led.staleRejected.Load()
+	// The load runs on past its acquires until the first kill has failed
+	// over, so a fast run still fails a node over under load.
+	runErr := lp.Run(firstKill)
 	close(killStop)
 	<-killDone
 	<-growDone
@@ -1026,8 +566,7 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	// double-issues would otherwise dodge the ledger, and the caller may
 	// Close the cluster as soon as we return.
 	restartWG.Wait()
-	close(probes)
-	probeWG.Wait()
+	lp.Close()
 	if runErr != nil {
 		watch.finalize(&report)
 		evwatch.finalize(&report)
@@ -1037,43 +576,25 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	// Post-run verification: wait out every reclaim deadline, then prove the
 	// failover healed the namespace — every adopted partition grants again,
 	// and none of the killed nodes' names is leaked.
-	sleepUntilDeadlines(led, tick, cfg.ReclaimSlack)
+	lp.WaitReclaimed()
 	if report.Kills > 0 {
 		fillStart := time.Now()
-		unserved, err := adoptionProbe(client, cfg, led)
+		fills, unserved, err := adoptionProbe(client, lp, cfg.TTL, adopted)
 		if err != nil {
 			watch.finalize(&report)
 			evwatch.finalize(&report)
 			return report, err
 		}
-		report.AdoptedUnserved = unserved
+		report.FillAcquired, report.AdoptedUnserved = fills, unserved
 		report.FillElapsed = time.Since(fillStart)
-		if leaked, err := verifyOrphansFree(client, led); err != nil {
+		if leaked, err := verifyOrphansFree(client, lp.Ledger); err != nil {
 			cfg.Logf("chaos: orphan collect verification incomplete: %v", err)
 		} else if leaked > 0 {
 			cfg.Logf("chaos: %d orphans still registered after the deadline", leaked)
 		}
 	}
-
-	report.Acquires = led.acquires.Load()
-	report.Renews = led.renews.Load()
-	report.Releases = led.releases.Load()
-	report.Crashes = led.crashes.Load()
-	report.FullRetries = led.fullRetries.Load()
-	report.KilledSessions = led.killedSessions.Load()
-	report.HolderLapses = led.holderLapses.Load()
-	report.FillAcquired = led.fills.Load()
-	report.StaleRejected = led.staleRejected.Load()
-	report.ProbesDropped = led.probesDropped.Load()
-	if report.ProbesDropped > 0 {
-		cfg.Logf("chaos: %d fencing probes dropped (verifier backlog full)", report.ProbesDropped)
-	}
-	report.DuplicateNames = led.duplicates.Load()
-	report.EarlyReissues = led.earlyReissues.Load()
-	report.LostReleases = led.lostReleases.Load()
-	report.UnexpectedStale = led.unexpectedStale.Load()
-	report.StaleAccepted = led.staleAccepted.Load()
-	report.OrphanEvents, report.OrphansReissued, report.OrphansFree, report.OrphansLeaked = led.orphanTally()
+	report.ContractReport = lp.Report()
+	report.OrphanEvents, report.OrphansReissued, report.OrphansFree, report.OrphansLeaked = lp.OrphanTally()
 	report.Routing = client.Counters()
 
 	// Drain: once every deadline has passed and the probe released its
@@ -1104,185 +625,30 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 		report.MigrationsCutover += s.Migrations.Cutover
 		report.MigrationsAborted += s.Migrations.Aborted
 	}
-
-	slices.Sort(latencies)
-	report.AcquireP50 = server.Percentile(latencies, 0.50)
-	report.AcquireP90 = server.Percentile(latencies, 0.90)
-	report.AcquireP99 = server.Percentile(latencies, 0.99)
-	if n := len(latencies); n > 0 {
-		report.AcquireMax = latencies[n-1]
-	}
 	return report, nil
-}
-
-// chaosRound is one closed-loop iteration over the routed client.
-func chaosRound(client *Client, cfg ChaosConfig, led *chaosLedger, gen rng.Source, tick time.Duration, probes chan<- staleProbe, latMu *sync.Mutex, latencies *[]time.Duration) error {
-	ttlMillis := cfg.TTL.Milliseconds()
-	var g GrantResponse
-	for {
-		t0 := time.Now()
-		grant, status, hint, err := client.Acquire(ttlMillis)
-		lat := time.Since(t0)
-		if err != nil {
-			return err
-		}
-		if status/100 == 2 {
-			g = grant
-			latMu.Lock()
-			*latencies = append(*latencies, lat)
-			latMu.Unlock()
-			break
-		}
-		if status == http.StatusServiceUnavailable {
-			led.fullRetries.Add(1)
-			if hint <= 0 {
-				hint = tick
-			}
-			time.Sleep(hint)
-			continue
-		}
-		return fmt.Errorf("acquire returned status %d", status)
-	}
-	led.onAcquire(g, time.Now())
-
-	server.Hold(cfg.HoldMean, gen)
-	if cfg.RenewPercent > 0 && gen.Intn(100) < cfg.RenewPercent {
-		renewed, status, err := client.Renew(g.Name, g.Token, ttlMillis)
-		switch {
-		case err != nil || status/100 != 2:
-			// A renew may legitimately fail only because the lease died with
-			// its node or expired under us; anything else is a violation.
-			switch led.classifyFailure(g.Name, g.Token, time.Now()) {
-			case failureKilled:
-				led.killedSessions.Add(1)
-				return nil
-			case failureLapsed:
-				led.holderLapses.Add(1)
-				return nil
-			}
-			if err != nil {
-				return fmt.Errorf("renew: %w", err)
-			}
-			led.unexpectedStale.Add(1)
-		default:
-			led.onRenewOK(g.Name, g.Token, renewed)
-		}
-		server.Hold(cfg.HoldMean, gen)
-	}
-
-	if cfg.CrashPercent > 0 && gen.Intn(100) < cfg.CrashPercent {
-		if deadline, ok := led.onCrash(g.Name, g.Token); ok {
-			select {
-			case probes <- staleProbe{name: g.Name, token: g.Token, notBefore: deadline.Add(2*tick + cfg.ReclaimSlack)}:
-			default:
-				led.probesDropped.Add(1)
-			}
-		}
-		return nil
-	}
-
-	h, ok := led.beginRelease(g.Name, g.Token)
-	if !ok {
-		// A kill sweep (or an observed lapse) took the lease from under us.
-		led.killedSessions.Add(1)
-		return nil
-	}
-	status, err := client.Release(g.Name, g.Token)
-	if err != nil || status/100 != 2 {
-		switch led.classifyFailure(g.Name, g.Token, time.Now()) {
-		case failureKilled:
-			led.killedSessions.Add(1)
-			return nil
-		case failureLapsed:
-			led.holderLapses.Add(1)
-			return nil
-		}
-		// classifyFailure no longer sees the held record (beginRelease took
-		// it): judge by the record we removed.
-		if led.killedNode(h.node) {
-			led.killedSessions.Add(1)
-			return nil
-		}
-		if !time.Now().Before(h.deadline) {
-			led.holderLapses.Add(1)
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("release: %w", err)
-		}
-		led.lostReleases.Add(1)
-		return nil
-	}
-	led.releases.Add(1)
-	return nil
-}
-
-// onDeath records that the killer is about to kill victim.
-func (led *chaosLedger) onDeath(victim int) {
-	led.mu.Lock()
-	defer led.mu.Unlock()
-	led.dying[victim] = true
-}
-
-// killedNode reports whether the node is known killed.
-func (led *chaosLedger) killedNode(id int) bool {
-	led.mu.Lock()
-	defer led.mu.Unlock()
-	return led.killed[id] || led.dying[id]
-}
-
-// sleepUntilDeadlines waits until every orphan and abandon deadline has
-// passed, so the healing probes and drain check measure obligations, not
-// races.
-func sleepUntilDeadlines(led *chaosLedger, tick, slack time.Duration) {
-	var until time.Time
-	led.mu.Lock()
-	for _, rec := range led.orphaned {
-		if rec.deadline.After(until) {
-			until = rec.deadline
-		}
-	}
-	led.mu.Unlock()
-	if last := led.lastAbandon.Load(); last != 0 {
-		if t := time.Unix(0, last).Add(2*tick + slack); t.After(until) {
-			until = t
-		}
-	}
-	if wait := time.Until(until); wait > 0 {
-		time.Sleep(wait)
-	}
 }
 
 // adoptionProbe proves the failover healed: starting at the reclaim
 // deadline, it keeps acquiring (and promptly releasing) until every adopted
-// partition has granted at least once, and returns how many never did.
-// Scale-free: it needs on the order of partitions-many grants, not a full
-// namespace sweep.
-func adoptionProbe(client *Client, cfg ChaosConfig, led *chaosLedger) (unserved int, err error) {
-	waiting := make(map[int]bool)
-	for _, p := range led.adoptedSnapshot() {
-		waiting[p] = true
-	}
-	if len(waiting) == 0 {
-		return 0, nil
-	}
+// partition has granted at least once. It returns its grants and how many
+// partitions never granted. Scale-free: it needs on the order of
+// partitions-many grants, not a full namespace sweep.
+func adoptionProbe(client *Client, lp *server.Loop, ttl time.Duration, adopted map[int]bool) (fills uint64, unserved int, err error) {
+	waiting := maps.Clone(adopted)
 	budget := time.Now().Add(15 * time.Second)
 	for len(waiting) > 0 && time.Now().Before(budget) {
-		g, status, hint, aerr := client.Acquire(cfg.TTL.Milliseconds())
-		if aerr != nil {
-			return len(waiting), fmt.Errorf("chaos: adoption probe: %w", aerr)
+		sent := time.Now()
+		g, status, hint, err := client.Acquire(ttl.Milliseconds())
+		if err != nil {
+			return fills, len(waiting), fmt.Errorf("chaos: adoption probe: %w", err)
 		}
 		switch {
 		case status/100 == 2:
-			led.onAcquire(g, time.Now())
-			led.fills.Add(1)
+			lp.Grant(g, sent, time.Now())
+			fills++
 			delete(waiting, g.Partition)
-			if h, ok := led.beginRelease(g.Name, g.Token); ok {
-				if status, rerr := client.Release(g.Name, g.Token); rerr == nil && status/100 == 2 {
-					led.releases.Add(1)
-				} else if time.Now().Before(h.deadline) {
-					led.lostReleases.Add(1)
-				}
+			if err := lp.Release(g.Name, g.Token); err != nil {
+				return fills, len(waiting), fmt.Errorf("chaos: adoption probe: %w", err)
 			}
 		case status == http.StatusServiceUnavailable:
 			// Full or still warming: both push the probe past its budget if
@@ -1292,23 +658,19 @@ func adoptionProbe(client *Client, cfg ChaosConfig, led *chaosLedger) (unserved 
 			}
 			time.Sleep(hint)
 		default:
-			return len(waiting), fmt.Errorf("chaos: adoption probe acquire returned %d", status)
+			return fills, len(waiting), fmt.Errorf("chaos: adoption probe acquire returned %d", status)
 		}
 	}
-	return len(waiting), nil
+	return fills, len(waiting), nil
 }
 
 // verifyOrphansFree checks every orphan never observed reissued against its
 // current owner's /collect: absent means the slot healed (grantable again),
 // present means the name is leaked. Returns how many remain leaked.
-func verifyOrphansFree(client *Client, led *chaosLedger) (int, error) {
-	unresolved := led.unresolvedOrphans()
-	if len(unresolved) == 0 {
-		return 0, nil
-	}
+func verifyOrphansFree(client *Client, led *server.Ledger) (int, error) {
 	t := client.Table()
 	registered := make(map[int]map[int]bool) // member ID -> registered set
-	for _, name := range unresolved {
+	for _, name := range led.Orphans() {
 		owner, ok := t.Owner(t.PartitionOf(name))
 		if !ok {
 			continue
@@ -1317,7 +679,7 @@ func verifyOrphansFree(client *Client, led *chaosLedger) (int, error) {
 		if !ok {
 			names, err := client.CollectNode(owner.Addr)
 			if err != nil {
-				return len(led.unresolvedOrphans()), err
+				return len(led.Orphans()), err
 			}
 			set = make(map[int]bool, len(names))
 			for _, n := range names {
@@ -1326,8 +688,8 @@ func verifyOrphansFree(client *Client, led *chaosLedger) (int, error) {
 			registered[owner.ID] = set
 		}
 		if !set[name] {
-			led.resolveOrphanFree(name)
+			led.OrphanFree(name)
 		}
 	}
-	return len(led.unresolvedOrphans()), nil
+	return len(led.Orphans()), nil
 }

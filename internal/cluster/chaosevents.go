@@ -13,13 +13,12 @@ package cluster
 // watcher off rather than failing the run.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
 
+	"github.com/levelarray/levelarray/internal/server"
 	"github.com/levelarray/levelarray/internal/trace"
 )
 
@@ -116,18 +115,8 @@ func (w *eventsWatcher) sweep() bool {
 
 func (w *eventsWatcher) fetch(target string) (trace.EventsResponse, int, error) {
 	var out trace.EventsResponse
-	resp, err := w.hc.Get(target + "/debug/events")
-	if err != nil {
-		return out, 0, err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode/100 != 2 {
-		return out, resp.StatusCode, nil
-	}
-	return out, resp.StatusCode, json.NewDecoder(resp.Body).Decode(&out)
+	status, err := server.GetJSON(w.hc, target+"/debug/events", &out)
+	return out, status, err
 }
 
 // finalize stops the sweeps and audits the assembled timeline into the

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"github.com/levelarray/levelarray/internal/metrics"
+	"github.com/levelarray/levelarray/internal/server"
 )
 
 // chaosScrapeInterval is the watcher's cadence: fast enough to catch the
@@ -358,14 +359,14 @@ func (w *metricsWatcher) finalize(report *ChaosReport) {
 // (killed nodes) included.
 func (w *metricsWatcher) occupancyAgreement(target string) string {
 	var before, after NodeStatsResponse
-	if status, err := getJSON(w.hc, target+"/stats", &before); err != nil || status/100 != 2 {
+	if status, err := server.GetJSON(w.hc, target+"/stats", &before); err != nil || status/100 != 2 {
 		return ""
 	}
 	samples, status, err := w.scrape(target)
 	if err != nil || status/100 != 2 {
 		return ""
 	}
-	if status, err := getJSON(w.hc, target+"/stats", &after); err != nil || status/100 != 2 {
+	if status, err := server.GetJSON(w.hc, target+"/stats", &after); err != nil || status/100 != 2 {
 		return ""
 	}
 	gauge := int64(metrics.Sum(samples, "la_partition_active"))

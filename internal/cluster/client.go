@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -238,19 +239,6 @@ func putClientCall(w *clientCall) {
 	clientCallPool.Put(w)
 }
 
-// grantFromWire converts a frame grant to the JSON-shaped response the
-// client API returns regardless of transport.
-func grantFromWire(g wire.Grant) GrantResponse {
-	return GrantResponse{
-		Name:               int(g.Name),
-		Token:              g.Token,
-		DeadlineUnixMillis: g.DeadlineUnixMilli,
-		NodeID:             int(g.NodeID),
-		Partition:          int(g.Partition),
-		Epoch:              g.Epoch,
-	}
-}
-
 // wireRequestFor translates an owner-addressed HTTP body to its wire opcode;
 // false when the path has no wire equivalent.
 func wireRequestFor(body any, req *wire.Request) bool {
@@ -289,7 +277,7 @@ func (c *Client) hop(m Member, epoch uint64, rid uint64, sp *trace.Op, body any,
 				c.wireOps.Add(1)
 				resp := &call.resp
 				if resp.Status == wire.StatusOK && out != nil && len(resp.Grants) == 1 {
-					*out = grantFromWire(resp.Grants[0])
+					*out = server.GrantFromWire(resp.Grants[0])
 				}
 				status, fencedAt = int(resp.Status), resp.Epoch
 				retry = time.Duration(resp.RetryAfterMillis) * time.Millisecond
@@ -302,13 +290,20 @@ func (c *Client) hop(m Member, epoch uint64, rid uint64, sp *trace.Op, body any,
 	}
 	var fence EpochResponse
 	// A typed-nil *GrantResponse must become a true nil interface, or
-	// postJSON would try to decode into it and report a transport error —
+	// PostJSON would try to decode into it and report a transport error —
 	// turning an applied release into a spurious retry.
 	var dst any
 	if out != nil {
 		dst = out
 	}
-	status, header, err := postJSONTraced(c.hc, m.Addr+path, epoch, ridString(rid), sp.Traced(), body, dst, &fence)
+	hdr := http.Header{server.RequestIDHeader: {ridString(rid)}}
+	if epoch != 0 {
+		hdr.Set(EpochHeader, strconv.FormatUint(epoch, 10))
+	}
+	if sp.Traced() {
+		hdr.Set(server.TraceForceHeader, "1")
+	}
+	status, header, err := server.PostJSON(c.hc, m.Addr+path, hdr, body, dst, &fence)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -342,7 +337,7 @@ func (c *Client) fetchTable() bool {
 	addrs = append(addrs, c.cfg.Targets...)
 	for _, addr := range addrs {
 		var t Table
-		status, err := getJSON(c.hc, addr+"/cluster", &t)
+		status, err := server.GetJSON(c.hc, addr+"/cluster", &t)
 		if err != nil || status/100 != 2 {
 			continue
 		}
@@ -482,7 +477,7 @@ func (c *Client) Release(name int, token uint64) (int, error) {
 // CollectNode fetches one member's registered names (GET /collect).
 func (c *Client) CollectNode(addr string) ([]int, error) {
 	var resp server.CollectResponse
-	status, err := getJSON(c.hc, addr+"/collect", &resp)
+	status, err := server.GetJSON(c.hc, addr+"/collect", &resp)
 	if err != nil {
 		return nil, err
 	}
@@ -495,7 +490,7 @@ func (c *Client) CollectNode(addr string) ([]int, error) {
 // NodeStats fetches one member's /stats.
 func (c *Client) NodeStats(addr string) (NodeStatsResponse, error) {
 	var s NodeStatsResponse
-	status, err := getJSON(c.hc, addr+"/stats", &s)
+	status, err := server.GetJSON(c.hc, addr+"/stats", &s)
 	if err != nil {
 		return s, err
 	}

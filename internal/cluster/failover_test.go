@@ -170,13 +170,13 @@ func TestFailoverEndToEnd(t *testing.T) {
 	survivorAddr := survivor.Table().Members[survivor.ID()].Addr
 	var fence EpochResponse
 	hc := &http.Client{Timeout: 2 * time.Second}
-	status, _, err := postJSON(hc, survivorAddr+"/acquire", 1, "", map[string]any{"ttl_ms": 300}, nil, &fence)
+	status, _, err := postJSON(hc, survivorAddr+"/acquire", 1, map[string]any{"ttl_ms": 300}, nil, &fence)
 	if err != nil || status != http.StatusPreconditionFailed || fence.Error != ErrCodeStaleEpoch {
 		t.Fatalf("old-epoch write: status %d body %+v err %v, want 412 stale_epoch", status, fence, err)
 	}
 
 	// The dead node's address refuses connections (crash-stop, not zombie).
-	if _, _, err := postJSON(hc, victimAddr+"/acquire", 0, "", map[string]any{}, nil, nil); err == nil {
+	if _, _, err := postJSON(hc, victimAddr+"/acquire", 0, map[string]any{}, nil, nil); err == nil {
 		t.Fatal("killed node still answering")
 	}
 
@@ -318,32 +318,6 @@ func TestChaosLoadOutlastsFirstKill(t *testing.T) {
 	}
 	if report.Acquires-report.FillAcquired <= acquires {
 		t.Fatalf("clients acquired %d, want more than the %d configured", report.Acquires-report.FillAcquired, acquires)
-	}
-}
-
-// TestLedgerExcusesSessionsOfADyingNode: between a kill and the killer
-// observing its failover, a client can already reach the adopter and have a
-// dead lease's renew or release rejected. The ledger must blame the kill, not
-// the cluster, and still sweep the session whose renew was rejected into
-// the orphans whose reissue it verifies.
-func TestLedgerExcusesSessionsOfADyingNode(t *testing.T) {
-	led := newChaosLedger()
-	now := time.Now()
-	deadline := now.Add(time.Second).UnixMilli()
-	led.onAcquire(GrantResponse{Name: 1, Token: 11, DeadlineUnixMillis: deadline, NodeID: 0, Partition: 2}, now)
-	led.onAcquire(GrantResponse{Name: 2, Token: 12, DeadlineUnixMillis: deadline, NodeID: 0, Partition: 2}, now)
-	led.onDeath(0)
-
-	if got := led.classifyFailure(1, 11, now); got != failureKilled {
-		t.Fatalf("renew rejected on a dying node classified %d, want failureKilled", got)
-	}
-	h, ok := led.beginRelease(2, 12)
-	if !ok || !led.killedNode(h.node) {
-		t.Fatalf("release of a dying node's lease: held %v, node %d killed %v", ok, h.node, led.killedNode(h.node))
-	}
-	probes := led.onKill(0, []int{2}, now, time.Second)
-	if len(probes) != 1 || probes[0].name != 1 || led.orphaned[1] == nil {
-		t.Fatalf("sweep after the bump: probes %+v, orphan %+v; want name 1 orphaned", probes, led.orphaned[1])
 	}
 }
 

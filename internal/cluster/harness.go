@@ -443,7 +443,7 @@ func (l *Local) Drain(id int) error {
 	}
 	var out, fail EpochResponse
 	hc := &http.Client{Timeout: 5 * time.Second}
-	status, _, err := postJSON(hc, seed+"/cluster/drain", 0, "", DrainRequest{ID: id}, &out, &fail)
+	status, _, err := server.PostJSON(hc, seed+"/cluster/drain", nil, DrainRequest{ID: id}, &out, &fail)
 	if err != nil {
 		return err
 	}

@@ -1,11 +1,7 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
-	"io"
 	"net/http"
-	"strconv"
 
 	"github.com/levelarray/levelarray/internal/server"
 )
@@ -23,68 +19,3 @@ func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 func writeJSON(w http.ResponseWriter, status int, body any) { server.WriteJSON(w, status, body) }
 
 func writeError(w http.ResponseWriter, status int, code string) { server.WriteError(w, status, code) }
-
-// postJSON sends one JSON request with the given epoch header (when epoch is
-// nonzero) and request-ID header (when rid is nonempty), and decodes a 2xx
-// response into out; non-2xx bodies are decoded into errOut when provided.
-// It returns the HTTP status and headers.
-func postJSON(hc *http.Client, url string, epoch uint64, rid string, in, out, errOut any) (int, http.Header, error) {
-	return postJSONTraced(hc, url, epoch, rid, false, in, out, errOut)
-}
-
-// postJSONTraced is postJSON plus the trace-force header: a traced routed
-// operation tells the member to retain its server-side span past sampling.
-func postJSONTraced(hc *http.Client, url string, epoch uint64, rid string, traced bool, in, out, errOut any) (int, http.Header, error) {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return 0, nil, err
-	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if epoch != 0 {
-		req.Header.Set(EpochHeader, strconv.FormatUint(epoch, 10))
-	}
-	if rid != "" {
-		req.Header.Set(server.RequestIDHeader, rid)
-	}
-	if traced {
-		req.Header.Set(server.TraceForceHeader, "1")
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode/100 == 2 {
-		if out != nil {
-			return resp.StatusCode, resp.Header, json.NewDecoder(resp.Body).Decode(out)
-		}
-		return resp.StatusCode, resp.Header, nil
-	}
-	if errOut != nil {
-		_ = json.NewDecoder(resp.Body).Decode(errOut)
-	}
-	return resp.StatusCode, resp.Header, nil
-}
-
-// getJSON fetches url and decodes a 2xx body into out.
-func getJSON(hc *http.Client, url string, out any) (int, error) {
-	resp, err := hc.Get(url)
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode/100 == 2 && out != nil {
-		return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
-	}
-	return resp.StatusCode, nil
-}

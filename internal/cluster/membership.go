@@ -26,10 +26,7 @@ package cluster
 // only installs when the adopted epoch is exactly the plan's cutover epoch.
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -129,7 +126,7 @@ func JoinCluster(hc *http.Client, seed, addr, wireAddr string) (int, Table, erro
 		}
 		var out JoinResponse
 		var fail EpochResponse
-		status, _, err := postJSON(hc, seed+"/cluster/join", 0, "",
+		status, _, err := server.PostJSON(hc, seed+"/cluster/join", nil,
 			JoinRequest{Addr: addr, WireAddr: wireAddr}, &out, &fail)
 		if err != nil {
 			lastErr = err
@@ -153,38 +150,8 @@ func JoinCluster(hc *http.Client, seed, addr, wireAddr string) (int, Table, erro
 	return -1, Table{}, lastErr
 }
 
-// forwardJSON re-POSTs a control request to the steward with the loop guard
-// set.
-func forwardJSON(hc *http.Client, url string, in, out, errOut any) (int, error) {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(forwardedHeader, "1")
-	resp, err := hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode/100 == 2 {
-		if out != nil {
-			return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
-		}
-		return resp.StatusCode, nil
-	}
-	if errOut != nil {
-		_ = json.NewDecoder(resp.Body).Decode(errOut)
-	}
-	return resp.StatusCode, nil
-}
+// forwarded marks a control request re-POSTed to the steward.
+var forwarded = http.Header{forwardedHeader: {"1"}}
 
 // handleJoin admits a new member. Any node accepts the call; non-stewards
 // proxy it to the steward so `lactl join` and a booting laserve can point at
@@ -211,7 +178,7 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 		}
 		var out JoinResponse
 		var fail EpochResponse
-		status, err := forwardJSON(n.cfg.HTTPClient, st.Addr+"/cluster/join", req, &out, &fail)
+		status, _, err := server.PostJSON(n.cfg.HTTPClient, st.Addr+"/cluster/join", forwarded, req, &out, &fail)
 		if err != nil {
 			server.WriteUnavailable(w, ErrCodeNotOwner, n.cfg.ProbeInterval)
 			return
@@ -268,7 +235,7 @@ func (n *Node) handleDrain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var out, fail EpochResponse
-		status, err := forwardJSON(n.cfg.HTTPClient, st.Addr+"/cluster/drain", req, &out, &fail)
+		status, _, err := server.PostJSON(n.cfg.HTTPClient, st.Addr+"/cluster/drain", forwarded, req, &out, &fail)
 		if err != nil {
 			server.WriteUnavailable(w, ErrCodeNotOwner, n.cfg.ProbeInterval)
 			return
@@ -317,7 +284,7 @@ func (n *Node) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		}
 		var out RebalanceResponse
 		var fail EpochResponse
-		status, err := forwardJSON(n.cfg.HTTPClient, st.Addr+"/cluster/rebalance", struct{}{}, &out, &fail)
+		status, _, err := server.PostJSON(n.cfg.HTTPClient, st.Addr+"/cluster/rebalance", forwarded, struct{}{}, &out, &fail)
 		if err != nil {
 			server.WriteUnavailable(w, ErrCodeNotOwner, n.cfg.ProbeInterval)
 			return
@@ -382,7 +349,7 @@ func (n *Node) migratePrepare(req MigratePrepareRequest) (MigrateReply, int) {
 
 	snap := mgr.ExportState(uint32(pid), req.Epoch)
 	var rep MigrateReply
-	status, _, err := postJSON(n.cfg.HTTPClient, req.TargetAddr+"/migrate/stage", 0, "",
+	status, _, err := server.PostJSON(n.cfg.HTTPClient, req.TargetAddr+"/migrate/stage", nil,
 		MigrateStageRequest{Partition: pid, Epoch: req.Epoch, PrevOwner: n.cfg.NodeID, Snapshot: snap}, &rep, &rep)
 	if err != nil || status/100 != 2 {
 		n.abortMigration(pid, req.Epoch, "ship_failed")
@@ -533,7 +500,7 @@ func (n *Node) rebalanceOnce(cause string) RebalanceResponse {
 			var stats NodeStatsResponse
 			if m.ID == n.cfg.NodeID {
 				stats = n.statsResponse()
-			} else if status, err := getJSON(n.cfg.HTTPClient, m.Addr+"/stats", &stats); err != nil || status/100 != 2 {
+			} else if status, err := server.GetJSON(n.cfg.HTTPClient, m.Addr+"/stats", &stats); err != nil || status/100 != 2 {
 				return
 			}
 			for _, ps := range stats.Partitions {
@@ -587,7 +554,7 @@ func (n *Node) executeMigration(t Table, plan rebalance.Plan) error {
 		}
 	} else {
 		var rep MigrateReply
-		status, _, err := postJSON(n.cfg.HTTPClient, t.Members[plan.From].Addr+"/migrate/prepare", 0, "", prep, &rep, &rep)
+		status, _, err := server.PostJSON(n.cfg.HTTPClient, t.Members[plan.From].Addr+"/migrate/prepare", nil, prep, &rep, &rep)
 		if err != nil {
 			return fmt.Errorf("cluster: migration prepare on node %d: %w", plan.From, err)
 		}
@@ -613,6 +580,6 @@ func (n *Node) sendAbort(src Member, partition int, epoch uint64, cause string) 
 		return
 	}
 	var rep MigrateReply
-	_, _, _ = postJSON(n.cfg.HTTPClient, src.Addr+"/migrate/abort", 0, "",
+	_, _, _ = server.PostJSON(n.cfg.HTTPClient, src.Addr+"/migrate/abort", nil,
 		MigrateAbortRequest{Partition: partition, Epoch: epoch, Cause: cause}, &rep, &rep)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -15,6 +16,16 @@ import (
 
 // testNodeConfig builds a NodeConfig for handler-level tests: real node,
 // fake peers, prober never started.
+// postJSON is server.PostJSON carrying epoch in the epoch header when it
+// is nonzero.
+func postJSON(hc *http.Client, url string, epoch uint64, in, out, errOut any) (int, http.Header, error) {
+	var header http.Header
+	if epoch != 0 {
+		header = http.Header{EpochHeader: {strconv.FormatUint(epoch, 10)}}
+	}
+	return server.PostJSON(hc, url, header, in, out, errOut)
+}
+
 func testNodeConfig(nodeID, peers, partitions, perPartition int) NodeConfig {
 	addrs := make([]string, peers)
 	for i := range addrs {
@@ -60,7 +71,7 @@ func TestNodeGrantsGlobalNames(t *testing.T) {
 	seen := map[int]uint64{}
 	for i := 0; i < 16; i++ {
 		var g GrantResponse
-		status, _, err := postJSON(hc, srv.URL+"/acquire", tbl.Epoch, "", server.AcquireRequest{TTLMillis: 60_000}, &g, nil)
+		status, _, err := postJSON(hc, srv.URL+"/acquire", tbl.Epoch, server.AcquireRequest{TTLMillis: 60_000}, &g, nil)
 		if err != nil || status != http.StatusOK {
 			t.Fatalf("acquire %d: status %d err %v", i, status, err)
 		}
@@ -81,11 +92,11 @@ func TestNodeGrantsGlobalNames(t *testing.T) {
 	}
 	for name, token := range seen {
 		var rg GrantResponse
-		status, _, err := postJSON(hc, srv.URL+"/renew", tbl.Epoch, "", server.RenewRequest{Name: name, Token: token, TTLMillis: 60_000}, &rg, nil)
+		status, _, err := postJSON(hc, srv.URL+"/renew", tbl.Epoch, server.RenewRequest{Name: name, Token: token, TTLMillis: 60_000}, &rg, nil)
 		if err != nil || status != http.StatusOK || rg.Name != name {
 			t.Fatalf("renew: status %d err %v resp %+v", status, err, rg)
 		}
-		status, _, err = postJSON(hc, srv.URL+"/release", tbl.Epoch, "", server.ReleaseRequest{Name: name, Token: token}, nil, nil)
+		status, _, err = postJSON(hc, srv.URL+"/release", tbl.Epoch, server.ReleaseRequest{Name: name, Token: token}, nil, nil)
 		if err != nil || status != http.StatusOK {
 			t.Fatalf("release: status %d err %v", status, err)
 		}
@@ -108,7 +119,7 @@ func TestAdoptLifecycle(t *testing.T) {
 		t.Fatal("Reassign(1) failed")
 	}
 	var reply EpochResponse
-	status, _, err := postJSON(hc, srv.URL+"/cluster", 0, "", next, &reply, &reply)
+	status, _, err := postJSON(hc, srv.URL+"/cluster", 0, next, &reply, &reply)
 	if err != nil || status != http.StatusOK || !reply.Adopted || reply.Epoch != next.Epoch {
 		t.Fatalf("adopt push: status %d err %v reply %+v", status, err, reply)
 	}
@@ -117,18 +128,18 @@ func TestAdoptLifecycle(t *testing.T) {
 	}
 
 	// Stale and replayed tables bounce with 412.
-	status, _, err = postJSON(hc, srv.URL+"/cluster", 0, "", next, nil, &reply)
+	status, _, err = postJSON(hc, srv.URL+"/cluster", 0, next, nil, &reply)
 	if err != nil || status != http.StatusPreconditionFailed {
 		t.Fatalf("replayed adopt: status %d err %v", status, err)
 	}
-	status, _, err = postJSON(hc, srv.URL+"/cluster", 0, "", tbl, nil, &reply)
+	status, _, err = postJSON(hc, srv.URL+"/cluster", 0, tbl, nil, &reply)
 	if err != nil || status != http.StatusPreconditionFailed {
 		t.Fatalf("stale adopt: status %d err %v", status, err)
 	}
 
 	// Old-epoch writes are now fenced.
 	var fence EpochResponse
-	status, _, err = postJSON(hc, srv.URL+"/acquire", tbl.Epoch, "", server.AcquireRequest{TTLMillis: 1000}, nil, &fence)
+	status, _, err = postJSON(hc, srv.URL+"/acquire", tbl.Epoch, server.AcquireRequest{TTLMillis: 1000}, nil, &fence)
 	if err != nil || status != http.StatusPreconditionFailed {
 		t.Fatalf("old-epoch acquire after failover: status %d err %v", status, err)
 	}
@@ -137,7 +148,7 @@ func TestAdoptLifecycle(t *testing.T) {
 	// owner granted is fenced with 409, and the partition grants nothing.
 	adopted := tbl.PartitionsOf(1)[0]
 	ghost := adopted*tbl.Stride + 2
-	status, _, err = postJSON(hc, srv.URL+"/renew", next.Epoch, "", server.RenewRequest{Name: ghost, Token: 42, TTLMillis: 1000}, nil, nil)
+	status, _, err = postJSON(hc, srv.URL+"/renew", next.Epoch, server.RenewRequest{Name: ghost, Token: 42, TTLMillis: 1000}, nil, nil)
 	if err != nil || status != http.StatusConflict {
 		t.Fatalf("ghost renew on adopted partition: status %d err %v, want 409", status, err)
 	}
@@ -145,7 +156,7 @@ func TestAdoptLifecycle(t *testing.T) {
 	// open, acquires must only land in non-quarantined partitions.
 	for i := 0; i < 32; i++ {
 		var g GrantResponse
-		status, _, err := postJSON(hc, srv.URL+"/acquire", next.Epoch, "", server.AcquireRequest{TTLMillis: 1000}, &g, nil)
+		status, _, err := postJSON(hc, srv.URL+"/acquire", next.Epoch, server.AcquireRequest{TTLMillis: 1000}, &g, nil)
 		if err != nil {
 			t.Fatalf("acquire: %v", err)
 		}
@@ -165,12 +176,12 @@ func TestAdoptLifecycle(t *testing.T) {
 	if !ok {
 		t.Fatal("Reassign(0) failed")
 	}
-	status, _, err = postJSON(hc, srv.URL+"/cluster", 0, "", final, &reply, &reply)
+	status, _, err = postJSON(hc, srv.URL+"/cluster", 0, final, &reply, &reply)
 	if err != nil || status != http.StatusOK {
 		t.Fatalf("self-fencing adopt: status %d err %v", status, err)
 	}
 	var unavailable server.ErrorResponse
-	status, _, err = postJSON(hc, srv.URL+"/acquire", final.Epoch, "", server.AcquireRequest{TTLMillis: 1000}, nil, &unavailable)
+	status, _, err = postJSON(hc, srv.URL+"/acquire", final.Epoch, server.AcquireRequest{TTLMillis: 1000}, nil, &unavailable)
 	if err != nil || status != http.StatusServiceUnavailable || unavailable.Error != ErrCodeNoPartitions {
 		t.Fatalf("acquire on self-fenced node: status %d body %+v, want 503 %q", status, unavailable, ErrCodeNoPartitions)
 	}
@@ -188,7 +199,7 @@ func TestWarmingAdvertisesRetryAfter(t *testing.T) {
 
 	// Before the failover, node 1 owns nothing at all.
 	var body server.ErrorResponse
-	status, _, err := postJSON(hc, srv.URL+"/acquire", tbl.Epoch, "", server.AcquireRequest{TTLMillis: 60_000}, nil, &body)
+	status, _, err := postJSON(hc, srv.URL+"/acquire", tbl.Epoch, server.AcquireRequest{TTLMillis: 60_000}, nil, &body)
 	if err != nil || status != http.StatusServiceUnavailable || body.Error != ErrCodeNoPartitions {
 		t.Fatalf("ownerless acquire: status %d body %+v err %v, want 503 %q", status, body, err, ErrCodeNoPartitions)
 	}
@@ -199,7 +210,7 @@ func TestWarmingAdvertisesRetryAfter(t *testing.T) {
 		t.Fatalf("Adopt: %v", err)
 	}
 	body = server.ErrorResponse{}
-	status, header, err := postJSON(hc, srv.URL+"/acquire", next.Epoch, "", server.AcquireRequest{TTLMillis: 60_000}, nil, &body)
+	status, header, err := postJSON(hc, srv.URL+"/acquire", next.Epoch, server.AcquireRequest{TTLMillis: 60_000}, nil, &body)
 	if err != nil || status != http.StatusServiceUnavailable {
 		t.Fatalf("warming acquire: status %d err %v", status, err)
 	}
@@ -222,7 +233,7 @@ func TestNodeLeasesPaginatesAcrossPartitions(t *testing.T) {
 	granted := map[int]uint64{}
 	for i := 0; i < 20; i++ {
 		var g GrantResponse
-		status, _, err := postJSON(hc, srv.URL+"/acquire", tbl.Epoch, "", server.AcquireRequest{TTLMillis: 60_000}, &g, nil)
+		status, _, err := postJSON(hc, srv.URL+"/acquire", tbl.Epoch, server.AcquireRequest{TTLMillis: 60_000}, &g, nil)
 		if err != nil || status != http.StatusOK {
 			t.Fatalf("acquire: status %d err %v", status, err)
 		}
@@ -233,7 +244,7 @@ func TestNodeLeasesPaginatesAcrossPartitions(t *testing.T) {
 	start := 0
 	for start != -1 {
 		var page NodeLeasesResponse
-		status, err := getJSON(hc, srv.URL+fmt.Sprintf("/leases?limit=3&start=%d", start), &page)
+		status, err := server.GetJSON(hc, srv.URL+fmt.Sprintf("/leases?limit=3&start=%d", start), &page)
 		if err != nil || status != http.StatusOK {
 			t.Fatalf("GET /leases: status %d err %v", status, err)
 		}
@@ -276,7 +287,7 @@ func TestAdoptedPartitionTokensUseEpochSpace(t *testing.T) {
 	tbl := n.Table()
 
 	var epoch1 GrantResponse
-	status, _, err := postJSON(hc, srv.URL+"/acquire", tbl.Epoch, "", server.AcquireRequest{TTLMillis: 60_000}, &epoch1, nil)
+	status, _, err := postJSON(hc, srv.URL+"/acquire", tbl.Epoch, server.AcquireRequest{TTLMillis: 60_000}, &epoch1, nil)
 	if err != nil || status != http.StatusOK {
 		t.Fatalf("epoch-1 acquire: status %d err %v", status, err)
 	}
@@ -294,7 +305,7 @@ func TestAdoptedPartitionTokensUseEpochSpace(t *testing.T) {
 	adopted := tbl.PartitionsOf(1)[0]
 	for i := 0; i < 32; i++ {
 		var g GrantResponse
-		status, _, err := postJSON(hc, srv.URL+"/acquire", next.Epoch, "", server.AcquireRequest{TTLMillis: 60_000}, &g, nil)
+		status, _, err := postJSON(hc, srv.URL+"/acquire", next.Epoch, server.AcquireRequest{TTLMillis: 60_000}, &g, nil)
 		if err != nil || status != http.StatusOK {
 			t.Fatalf("epoch-2 acquire %d: status %d err %v", i, status, err)
 		}

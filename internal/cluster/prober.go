@@ -12,6 +12,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/levelarray/levelarray/internal/server"
 	"github.com/levelarray/levelarray/internal/trace"
 )
 
@@ -61,7 +62,7 @@ func (n *Node) probeOnce(misses, recovers map[int]int) {
 			}
 			var health HealthResponse
 			n.probes.Add(1)
-			status, err := getJSON(n.cfg.HTTPClient, m.Addr+"/healthz", &health)
+			status, err := server.GetJSON(n.cfg.HTTPClient, m.Addr+"/healthz", &health)
 			if err == nil && status/100 == 2 {
 				recovers[m.ID]++
 				if health.Epoch > t.Epoch {
@@ -75,7 +76,7 @@ func (n *Node) probeOnce(misses, recovers map[int]int) {
 		}
 		var health HealthResponse
 		n.probes.Add(1)
-		status, err := getJSON(n.cfg.HTTPClient, m.Addr+"/healthz", &health)
+		status, err := server.GetJSON(n.cfg.HTTPClient, m.Addr+"/healthz", &health)
 		if err == nil && status/100 == 2 {
 			misses[m.ID] = 0
 			oks[m.ID] = true
@@ -233,7 +234,7 @@ func (n *Node) pushTable(t Table) {
 		go func(addr string) {
 			n.tablePushes.Add(1)
 			var reply EpochResponse
-			if _, _, err := postJSON(n.cfg.HTTPClient, addr+"/cluster", 0, "", t, &reply, &reply); err != nil {
+			if _, _, err := server.PostJSON(n.cfg.HTTPClient, addr+"/cluster", nil, t, &reply, &reply); err != nil {
 				n.cfg.Logf("cluster: node %d: push epoch %d to %s failed: %v", n.cfg.NodeID, t.Epoch, addr, err)
 			}
 		}(m.Addr)
@@ -243,7 +244,7 @@ func (n *Node) pushTable(t Table) {
 // pullFrom fetches one peer's table and adopts it if newer.
 func (n *Node) pullFrom(addr string) {
 	var t Table
-	if status, err := getJSON(n.cfg.HTTPClient, addr+"/cluster", &t); err != nil || status/100 != 2 {
+	if status, err := server.GetJSON(n.cfg.HTTPClient, addr+"/cluster", &t); err != nil || status/100 != 2 {
 		return
 	}
 	if err := n.adoptTable(t, "anti_entropy_pull"); err == nil {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/levelarray/levelarray/internal/lease"
+	"github.com/levelarray/levelarray/internal/server"
 	"github.com/levelarray/levelarray/internal/trace"
 )
 
@@ -18,7 +19,7 @@ import (
 func fetchEvents(t *testing.T, hc *http.Client, base string) []trace.Event {
 	t.Helper()
 	var resp trace.EventsResponse
-	if status, err := getJSON(hc, base+"/debug/events", &resp); err != nil || status/100 != 2 {
+	if status, err := server.GetJSON(hc, base+"/debug/events", &resp); err != nil || status/100 != 2 {
 		t.Fatalf("GET %s/debug/events: status %d err %v", base, status, err)
 	}
 	return resp.Events
@@ -145,8 +146,8 @@ func TestChaosWithTracingUnderDebugReads(t *testing.T) {
 					return
 				default:
 					var tr trace.TraceResponse
-					_, _ = getJSON(hc, base+"/debug/trace", &tr)
-					_, _ = getJSON(hc, base+"/debug/trace/slow", &tr)
+					_, _ = server.GetJSON(hc, base+"/debug/trace", &tr)
+					_, _ = server.GetJSON(hc, base+"/debug/trace/slow", &tr)
 					time.Sleep(10 * time.Millisecond)
 				}
 			}
@@ -188,7 +189,7 @@ func TestChaosWithTracingUnderDebugReads(t *testing.T) {
 	for _, id := range l.AliveIDs() {
 		var tr trace.TraceResponse
 		n := l.Node(id)
-		if status, err := getJSON(hc, n.Table().Members[id].Addr+"/debug/trace", &tr); err != nil || status/100 != 2 {
+		if status, err := server.GetJSON(hc, n.Table().Members[id].Addr+"/debug/trace", &tr); err != nil || status/100 != 2 {
 			t.Fatalf("GET /debug/trace on node %d: status %d err %v", id, status, err)
 		}
 		if !tr.Enabled {

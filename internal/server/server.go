@@ -26,9 +26,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -384,6 +386,57 @@ func WriteUnavailable(w http.ResponseWriter, code string, wait time.Duration) {
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	w.Header().Set("X-Retry-After-Ms", strconv.FormatInt(retryMillis(wait), 10))
 	WriteError(w, http.StatusServiceUnavailable, code)
+}
+
+// PostJSON POSTs in as JSON to url with the given extra headers, decoding a
+// 2xx body into out and any other into errOut (each when non-nil). It
+// returns the status and the response headers.
+func PostJSON(hc *http.Client, url string, header http.Header, in, out, errOut any) (int, http.Header, error) {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return 0, nil, err
+	}
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	for k, vs := range header {
+		for _, v := range vs {
+			req.Header.Add(k, v)
+		}
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := hc.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	return resp.StatusCode, resp.Header, decodeBody(resp, out, errOut)
+}
+
+// GetJSON fetches url, decoding a 2xx body into out (when non-nil).
+func GetJSON(hc *http.Client, url string, out any) (int, error) {
+	resp, err := hc.Get(url)
+	if err != nil {
+		return 0, err
+	}
+	return resp.StatusCode, decodeBody(resp, out, nil)
+}
+
+// decodeBody decodes a response body into out (2xx) or errOut (otherwise),
+// then drains and closes it so the connection is reused. A non-2xx body
+// that does not decode is no error: the status says what failed.
+func decodeBody(resp *http.Response, out, errOut any) error {
+	defer func() {
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+	}()
+	switch ok := resp.StatusCode/100 == 2; {
+	case ok && out != nil:
+		return json.NewDecoder(resp.Body).Decode(out)
+	case !ok && errOut != nil:
+		_ = json.NewDecoder(resp.Body).Decode(errOut)
+	}
+	return nil
 }
 
 // RetryAfterHint extracts the retry pacing from a 503's headers, preferring

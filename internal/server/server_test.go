@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -297,38 +299,162 @@ func TestLoadThroughputCountsOnlyTheWindow(t *testing.T) {
 	}
 }
 
-// TestLoadgenDetectsViolations feeds the verifier a deliberately broken
-// service (it reissues a constant name) and asserts the ledger catches it —
-// the smoke test is only as good as its ability to fail.
-func TestLoadgenDetectsViolations(t *testing.T) {
+// brokenService is a minimal in-memory lease service with one planted
+// fault: names are the lowest free of eight, tokens count up, and a lease
+// expires at its TTL, reaped lazily on every request.
+type brokenService struct {
+	fault string
+
+	mu          sync.Mutex
+	held        map[int]brokenLease
+	token       uint64
+	expirations uint64
+}
+
+type brokenLease struct {
+	token   uint64
+	expires time.Time
+}
+
+func (b *brokenService) reap(now time.Time) {
+	for name, l := range b.held {
+		if now.After(l.expires) {
+			delete(b.held, name)
+			b.expirations++
+		}
+	}
+}
+
+func (b *brokenService) handler() http.Handler {
+	lock := func(w http.ResponseWriter, r *http.Request, req any) (time.Time, bool) {
+		if r.Method == http.MethodPost && !DecodeJSON(w, r, req, maxBodyBytes) {
+			return time.Time{}, false
+		}
+		b.mu.Lock()
+		now := time.Now()
+		b.reap(now)
+		return now, true
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /acquire", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, LeaseResponse{Name: 7, Token: 1, DeadlineUnixMillis: time.Now().Add(time.Hour).UnixMilli()})
+		var req AcquireRequest
+		now, ok := lock(w, r, &req)
+		if !ok {
+			return
+		}
+		defer b.mu.Unlock()
+		ttl := time.Duration(req.TTLMillis) * time.Millisecond
+		name := -1
+		for n := 0; n < 8 && name < 0; n++ {
+			if _, taken := b.held[n]; !taken {
+				name = n
+			}
+		}
+		if b.fault == "constant name" {
+			name = 7
+		}
+		if name < 0 {
+			WriteUnavailable(w, ErrCodeFull, 10*time.Millisecond)
+			return
+		}
+		b.token++
+		l := brokenLease{token: b.token, expires: now.Add(ttl)}
+		deadline := now.Add(ttl)
+		switch b.fault {
+		case "token regression":
+			l.token = 1<<32 - b.token
+		case "early reissue":
+			l.expires = now.Add(ttl / 10)
+		case "short deadline":
+			deadline = now.Add(ttl / 2)
+		}
+		b.held[name] = l
+		WriteJSON(w, http.StatusOK, LeaseResponse{Name: name, Token: l.token, DeadlineUnixMillis: deadline.UnixMilli()})
+	})
+	mux.HandleFunc("POST /renew", func(w http.ResponseWriter, r *http.Request) {
+		var req RenewRequest
+		now, ok := lock(w, r, &req)
+		if !ok {
+			return
+		}
+		defer b.mu.Unlock()
+		if l, held := b.held[req.Name]; held && l.token == req.Token {
+			l.expires = now.Add(time.Duration(req.TTLMillis) * time.Millisecond)
+			b.held[req.Name] = l
+		} else if b.fault != "stale accepted" {
+			WriteError(w, http.StatusConflict, ErrCodeStaleToken)
+			return
+		}
+		WriteJSON(w, http.StatusOK, LeaseResponse{Name: req.Name, Token: req.Token,
+			DeadlineUnixMillis: now.Add(time.Duration(req.TTLMillis) * time.Millisecond).UnixMilli()})
 	})
 	mux.HandleFunc("POST /release", func(w http.ResponseWriter, r *http.Request) {
+		var req ReleaseRequest
+		if _, ok := lock(w, r, &req); !ok {
+			return
+		}
+		defer b.mu.Unlock()
+		l, held := b.held[req.Name]
+		live := held && l.token == req.Token
+		if live {
+			delete(b.held, req.Name)
+		}
+		if b.fault == "lost release" || (!live && b.fault != "stale accepted") {
+			WriteError(w, http.StatusConflict, ErrCodeStaleToken)
+			return
+		}
 		WriteJSON(w, http.StatusOK, ReleaseResponse{Released: true})
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, StatsResponse{TickMillis: 10})
+		lock(w, r, nil)
+		defer b.mu.Unlock()
+		WriteJSON(w, http.StatusOK, StatsResponse{TickMillis: 10,
+			Lease: lease.Stats{Active: int64(len(b.held)), Expirations: b.expirations}})
 	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	return mux
+}
 
-	report, err := RunLoad(LoadConfig{
-		BaseURL:  srv.URL,
-		Clients:  4,
-		Acquires: 64,
-		TTL:      50 * time.Millisecond,
-		HoldMean: 2 * time.Millisecond, // overlapping holds expose the reissue
-	})
-	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
-	}
-	if report.DuplicateNames == 0 {
-		t.Fatalf("verifier missed the duplicate names: %+v", report)
-	}
-	if report.Violations() == nil {
-		t.Fatal("Violations() empty for a broken service")
+// TestLoadgenDetectsViolations feeds the verifier services that each break
+// one clause of the lease contract, and asserts the ledger catches every
+// one: the smoke tests are only as good as their ability to fail.
+func TestLoadgenDetectsViolations(t *testing.T) {
+	for _, tc := range []struct {
+		fault   string
+		hold    time.Duration // overlapping holds expose a constant name
+		crash   int           // abandoned leases expose reissue and fencing faults
+		counter func(LoadReport) uint64
+		names   string
+	}{
+		{"constant name", 2 * time.Millisecond, 0, func(r LoadReport) uint64 { return r.DuplicateNames }, "duplicate names"},
+		{"early reissue", 0, 50, func(r LoadReport) uint64 { return r.EarlyReissues }, "reissued before"},
+		{"short deadline", 0, 0, func(r LoadReport) uint64 { return r.ShortDeadlines }, "deadline short of"},
+		{"token regression", 0, 0, func(r LoadReport) uint64 { return r.TokenRegressions }, "fencing token"},
+		{"lost release", 0, 0, func(r LoadReport) uint64 { return r.LostReleases }, "lost release"},
+		{"stale accepted", 0, 50, func(r LoadReport) uint64 { return r.StaleAccepted }, "stale-token operations accepted"},
+	} {
+		t.Run(strings.ReplaceAll(tc.fault, " ", "_"), func(t *testing.T) {
+			srv := httptest.NewServer((&brokenService{fault: tc.fault, held: make(map[int]brokenLease)}).handler())
+			defer srv.Close()
+			report, err := RunLoad(LoadConfig{
+				BaseURL:      srv.URL,
+				Clients:      4,
+				Acquires:     64,
+				TTL:          300 * time.Millisecond,
+				HoldMean:     tc.hold,
+				CrashPercent: tc.crash,
+				ReclaimSlack: 50 * time.Millisecond,
+				Seed:         5,
+			})
+			if err != nil {
+				t.Fatalf("RunLoad: %v", err)
+			}
+			if tc.counter(report) == 0 {
+				t.Fatalf("verifier missed the %s: %+v", tc.fault, report)
+			}
+			if v := report.Violations(); !strings.Contains(strings.Join(v, "; "), tc.names) {
+				t.Fatalf("Violations() %q does not name the %s", v, tc.fault)
+			}
+		})
 	}
 }
 

@@ -216,42 +216,47 @@ func begin(op wire.Opcode) *wireCall {
 	return ca
 }
 
-func grantLease(g wire.Grant) LeaseResponse {
-	return LeaseResponse{Name: int(g.Name), Token: g.Token, DeadlineUnixMillis: g.DeadlineUnixMilli}
+// GrantFromWire converts a frame grant to the JSON-shaped grant every client
+// returns regardless of transport.
+func GrantFromWire(g wire.Grant) GrantResponse {
+	return GrantResponse{
+		Name: int(g.Name), Token: g.Token, DeadlineUnixMillis: g.DeadlineUnixMilli,
+		NodeID: int(g.NodeID), Partition: int(g.Partition), Epoch: g.Epoch,
+	}
 }
 
 // Acquire requests one lease; same contract as Client.Acquire, with the
 // frame's retry-after field standing in for the Retry-After headers.
-func (w *WireClient) Acquire(ttlMillis int64) (LeaseResponse, int, time.Duration, error) {
+func (w *WireClient) Acquire(ttlMillis int64) (GrantResponse, int, time.Duration, error) {
 	ca := begin(wire.OpAcquire)
 	defer wireCallPool.Put(ca)
 	ca.req.TTLMillis = ttlMillis
 	if err := w.c.Do(&ca.req, &ca.resp); err != nil {
-		return LeaseResponse{}, 0, 0, err
+		return GrantResponse{}, 0, 0, err
 	}
 	status := int(ca.resp.Status)
 	if ca.resp.Status == wire.StatusUnavailable {
-		return LeaseResponse{}, status, time.Duration(ca.resp.RetryAfterMillis) * time.Millisecond, nil
+		return GrantResponse{}, status, time.Duration(ca.resp.RetryAfterMillis) * time.Millisecond, nil
 	}
 	if ca.resp.Status != wire.StatusOK {
-		return LeaseResponse{}, status, 0, nil
+		return GrantResponse{}, status, 0, nil
 	}
-	return grantLease(ca.resp.Grants[0]), status, 0, nil
+	return GrantFromWire(ca.resp.Grants[0]), status, 0, nil
 }
 
 // Renew extends a lease; same contract as Client.Renew.
-func (w *WireClient) Renew(name int, token uint64, ttlMillis int64) (LeaseResponse, int, error) {
+func (w *WireClient) Renew(name int, token uint64, ttlMillis int64) (GrantResponse, int, error) {
 	ca := begin(wire.OpRenew)
 	defer wireCallPool.Put(ca)
 	ca.req.TTLMillis = ttlMillis
 	ca.req.Items = append(ca.req.Items, wire.Ref{Name: int64(name), Token: token})
 	if err := w.c.Do(&ca.req, &ca.resp); err != nil {
-		return LeaseResponse{}, 0, err
+		return GrantResponse{}, 0, err
 	}
 	if ca.resp.Status != wire.StatusOK {
-		return LeaseResponse{}, int(ca.resp.Status), nil
+		return GrantResponse{}, int(ca.resp.Status), nil
 	}
-	return grantLease(ca.resp.Grants[0]), int(ca.resp.Status), nil
+	return GrantFromWire(ca.resp.Grants[0]), int(ca.resp.Status), nil
 }
 
 // Release frees a lease; same contract as Client.Release.
@@ -282,7 +287,7 @@ func (w *WireClient) Stats() (StatsResponse, error) {
 // AcquireBatch grants up to n leases in one frame. A 503 (nothing granted)
 // carries the server's retry pacing; a partial grant is a 200 whose length
 // says how much namespace was left.
-func (w *WireClient) AcquireBatch(n int, ttlMillis int64, dst []LeaseResponse) ([]LeaseResponse, int, time.Duration, error) {
+func (w *WireClient) AcquireBatch(n int, ttlMillis int64, dst []GrantResponse) ([]GrantResponse, int, time.Duration, error) {
 	ca := begin(wire.OpAcquireN)
 	defer wireCallPool.Put(ca)
 	ca.req.TTLMillis = ttlMillis
@@ -298,7 +303,7 @@ func (w *WireClient) AcquireBatch(n int, ttlMillis int64, dst []LeaseResponse) (
 		return dst, status, 0, nil
 	}
 	for _, g := range ca.resp.Grants {
-		dst = append(dst, grantLease(g))
+		dst = append(dst, GrantFromWire(g))
 	}
 	return dst, status, 0, nil
 }

@@ -155,3 +155,36 @@ func TestWireBatchLoadRun(t *testing.T) {
 		t.Fatalf("batch run did too little: %+v", report)
 	}
 }
+
+// TestBatchLoadProbesEveryAbandonedToken abandons more leases within one TTL
+// than a fixed 4096-entry probe backlog holds: every abandoned token must
+// still be fenced, by a renew and a release each.
+func TestBatchLoadProbesEveryAbandonedToken(t *testing.T) {
+	if testing.Short() {
+		t.Skip("load run")
+	}
+	c, _ := newWireService(t, 8192, 20*time.Millisecond)
+	const ttl = time.Second
+	report, err := RunLoad(LoadConfig{
+		API:          c,
+		Batch:        64,
+		Clients:      4,
+		Acquires:     4500,
+		TTL:          ttl,
+		CrashPercent: 100,
+		ReclaimSlack: 50 * time.Millisecond,
+		Seed:         9,
+	})
+	if err != nil {
+		t.Fatalf("RunLoad: %v", err)
+	}
+	if v := report.Violations(); v != nil {
+		t.Fatalf("violations: %v", v)
+	}
+	if report.Crashes <= 4096 || report.Elapsed >= ttl {
+		t.Fatalf("want more than 4096 abandons within one TTL: %d in %v", report.Crashes, report.Elapsed)
+	}
+	if report.StaleRejected != 2*report.Crashes {
+		t.Fatalf("%d stale tokens rejected, want 2 x %d crashes", report.StaleRejected, report.Crashes)
+	}
+}

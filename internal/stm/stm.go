@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
+	"time"
 
 	"github.com/levelarray/levelarray/internal/activity"
 	"github.com/levelarray/levelarray/internal/core"
@@ -253,11 +254,25 @@ func (th *Thread) Atomically(fn func(tx *Tx) error) error {
 			return nil
 		default:
 			s.stats.Retries.Add(1)
-			runtime.Gosched()
+			backoff(attempt)
 		}
 	}
 	s.stats.Aborts.Add(1)
 	return ErrAborted
+}
+
+// backoff waits before a transaction's next attempt. The first attempts
+// only yield, so a conflict with a short commit retries at once; later ones
+// sleep, doubling from 1µs to a 1ms cap, so the retry budget outlasts a
+// committer descheduled while it holds a Var's lock. Yields alone spend the
+// whole budget in under a millisecond, less than one scheduling quantum.
+func backoff(attempt int) {
+	const yields = 16
+	if attempt < yields {
+		runtime.Gosched()
+		return
+	}
+	time.Sleep(min(time.Microsecond<<min(attempt-yields, 10), time.Millisecond))
 }
 
 // commit attempts to publish the transaction's write set. It returns false on

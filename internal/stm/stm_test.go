@@ -344,3 +344,35 @@ func TestAbortAfterRetryBudget(t *testing.T) {
 	}
 	x.version.Store(0)
 }
+
+// TestTransactionOutlastsAHeldLock: a committer descheduled while it holds
+// a Var's lock stalls every transaction that touches the Var. The retries
+// must back off long enough to outlast a stall of a scheduling quantum and
+// more, not abort after a burst of yields.
+func TestTransactionOutlastsAHeldLock(t *testing.T) {
+	s := MustNew(Config{MaxThreads: 4})
+	v := s.NewVar(1)
+	unlocked := v.version.Load()
+	v.version.Store(unlocked + 1) // held, as by a committer
+	released := make(chan struct{})
+	go func() {
+		defer close(released)
+		time.Sleep(20 * time.Millisecond)
+		v.version.Store(unlocked)
+	}()
+	err := s.Atomically(func(tx *Tx) error {
+		x, err := tx.Read(v)
+		if err != nil {
+			return err
+		}
+		tx.Write(v, x+1)
+		return nil
+	})
+	<-released
+	if err != nil {
+		t.Fatalf("transaction against a lock held for 20ms: %v", err)
+	}
+	if got := v.ReadDirect(); got != 2 {
+		t.Fatalf("value %d after the commit, want 2", got)
+	}
+}
