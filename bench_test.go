@@ -34,6 +34,7 @@ import (
 	"github.com/levelarray/levelarray/internal/server"
 	"github.com/levelarray/levelarray/internal/shard"
 	"github.com/levelarray/levelarray/internal/trace"
+	"github.com/levelarray/levelarray/internal/wal"
 	"github.com/levelarray/levelarray/internal/wire"
 )
 
@@ -755,34 +756,39 @@ func BenchmarkHealingConvergence(b *testing.B) {
 func leaseBench(ttl time.Duration, capacity, goroutines int) func(b *testing.B) {
 	return func(b *testing.B) {
 		arr := core.MustNew(core.Config{Capacity: capacity, Seed: 71})
-		mgr := lease.MustNewManager(arr, lease.Config{TickInterval: 100 * time.Millisecond})
-		mgr.Start()
-		defer mgr.Close()
-		var wg sync.WaitGroup
-		b.ResetTimer()
-		for w := 0; w < goroutines; w++ {
-			iters := b.N / goroutines
-			if w < b.N%goroutines {
-				iters++
-			}
-			wg.Add(1)
-			go func(iters int) {
-				defer wg.Done()
-				for i := 0; i < iters; i++ {
-					l, err := mgr.Acquire(ttl)
-					if err != nil {
-						b.Errorf("Acquire: %v", err)
-						return
-					}
-					if err := mgr.Release(l.Name, l.Token); err != nil {
-						b.Errorf("Release: %v", err)
-						return
-					}
-				}
-			}(iters)
-		}
-		wg.Wait()
+		leasePairs(b, lease.MustNewManager(arr, lease.Config{TickInterval: 100 * time.Millisecond}), ttl, goroutines)
 	}
+}
+
+// leasePairs starts mgr and times b.N Acquire+Release pairs split over the
+// given number of goroutines, closing mgr afterwards.
+func leasePairs(b *testing.B, mgr *lease.Manager, ttl time.Duration, goroutines int) {
+	mgr.Start()
+	defer mgr.Close()
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for w := 0; w < goroutines; w++ {
+		iters := b.N / goroutines
+		if w < b.N%goroutines {
+			iters++
+		}
+		wg.Add(1)
+		go func(iters int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				l, err := mgr.Acquire(ttl)
+				if err != nil {
+					b.Errorf("Acquire: %v", err)
+					return
+				}
+				if err := mgr.Release(l.Name, l.Token); err != nil {
+					b.Errorf("Release: %v", err)
+					return
+				}
+			}
+		}(iters)
+	}
+	wg.Wait()
 }
 
 // BenchmarkLeaseAcquireRelease compares the lease manager's session cost for
@@ -801,6 +807,32 @@ func BenchmarkLeaseAcquireRelease(b *testing.B) {
 		for _, goroutines := range []int{1, 8} {
 			b.Run(fmt.Sprintf("%s/g=%d", tc.name, goroutines),
 				leaseBench(tc.ttl, capacity, goroutines))
+		}
+	}
+}
+
+// BenchmarkLeaseWAL is the lease+WAL rung: BenchmarkLeaseAcquireRelease's
+// ttl=inf pair with both transitions journaled to a wal.Store in b.TempDir()
+// (TMPDIR=/dev/shm keeps it off the host disk). Under sync=always each
+// transition waits for a group-commit fsync that concurrent goroutines share,
+// reported as appends/fsync; sync=never only writes and is the control. The
+// fsync cost follows the host's storage, so the rung is not in baseline.json.
+func BenchmarkLeaseWAL(b *testing.B) {
+	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncNever} {
+		for _, goroutines := range []int{1, 8} {
+			b.Run(fmt.Sprintf("sync=%s/g=%d", policy, goroutines), func(b *testing.B) {
+				store, err := wal.Open(b.TempDir(), policy, 0)
+				if err != nil {
+					b.Fatalf("wal.Open: %v", err)
+				}
+				defer store.Close()
+				arr := core.MustNew(core.Config{Capacity: 4 * 1000, Seed: 71})
+				mgr := lease.MustNewManager(arr, lease.Config{TickInterval: 100 * time.Millisecond, Journal: store})
+				leasePairs(b, mgr, 0, goroutines)
+				if c := store.Counters(); c.Syncs > 0 {
+					b.ReportMetric(float64(c.Appends)/float64(c.Syncs), "appends/fsync")
+				}
+			})
 		}
 	}
 }

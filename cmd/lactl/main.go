@@ -602,7 +602,7 @@ func runTrace(src *source, limit int) error {
 
 // runEvents merges every node's control-plane journal into one causally
 // ordered timeline: who bumped which epoch and why, which failovers were
-// decided on what evidence, where fences were written, which partitions
+// decided on what evidence, which partitions were quarantined and which
 // migrated where. typeFilter narrows by substring of the event type — e.g.
 // "migration" keeps migration_plan/migration_cutover/migration_abort, and
 // "member" keeps member_join/member_rejoin/member_drain.

@@ -82,7 +82,6 @@ func run() error {
 	killEvery := flag.Duration("kill-every", 0, "kill one live node every interval (requires -spawn; 0 = never); the load runs on past -ops until the first kill has failed over")
 	restartAfter := flag.Duration("restart-after", 0, "restart each killed node on its old addresses after this pause (requires -spawn and -kill-every; 0 = stay dead)")
 	dataDir := flag.String("data-dir", "", "journal spawned nodes' lease state under this directory (one WAL per node, replayed on -restart-after)")
-	snapshotAdopt := flag.Bool("snapshot-adopt", false, "adopt failed-over partitions from the dead node's fenced snapshot instead of quarantining (requires -data-dir)")
 	minAlive := flag.Int("min-alive", 2, "the node killer stops at this many survivors")
 	growTo := flag.Int("grow-to", 0, "join fresh members under load until the cluster reaches this size (requires -spawn; 0 = never)")
 	growEvery := flag.Duration("grow-every", time.Second, "pause between joins (and before the -drain-one drain)")
@@ -131,9 +130,6 @@ func run() error {
 	if *dataDir != "" && *spawn == 0 {
 		return fmt.Errorf("-data-dir needs -spawn (external nodes own their own directories)")
 	}
-	if *snapshotAdopt && *dataDir == "" {
-		return fmt.Errorf("-snapshot-adopt needs -data-dir (there is no snapshot to adopt without a journal)")
-	}
 	if *traceOn && *spawn == 0 {
 		return fmt.Errorf("-trace needs -spawn (external nodes own their own recorders; start laserve with -trace)")
 	}
@@ -152,30 +148,29 @@ func run() error {
 	}
 	if *spawn != 0 || *targets != "" {
 		return runCluster(clusterOptions{
-			proto:         proto,
-			targets:       *targets,
-			spawn:         *spawn,
-			partitions:    *partitions,
-			capacity:      *capacity,
-			killEvery:     *killEvery,
-			restartAfter:  *restartAfter,
-			dataDir:       *dataDir,
-			snapshotAdopt: *snapshotAdopt,
-			trace:         *traceOn,
-			minAlive:      *minAlive,
-			growTo:        *growTo,
-			growEvery:     *growEvery,
-			drainOne:      *drainOne,
-			threshold:     threshold,
-			tick:          *tick,
-			clients:       *clients,
-			ops:           *ops,
-			ttl:           *ttl,
-			holdMean:      *holdMean,
-			crash:         *crash,
-			renew:         *renew,
-			seed:          *seed,
-			jsonPath:      *jsonPath,
+			proto:        proto,
+			targets:      *targets,
+			spawn:        *spawn,
+			partitions:   *partitions,
+			capacity:     *capacity,
+			killEvery:    *killEvery,
+			restartAfter: *restartAfter,
+			dataDir:      *dataDir,
+			trace:        *traceOn,
+			minAlive:     *minAlive,
+			growTo:       *growTo,
+			growEvery:    *growEvery,
+			drainOne:     *drainOne,
+			threshold:    threshold,
+			tick:         *tick,
+			clients:      *clients,
+			ops:          *ops,
+			ttl:          *ttl,
+			holdMean:     *holdMean,
+			crash:        *crash,
+			renew:        *renew,
+			seed:         *seed,
+			jsonPath:     *jsonPath,
 		})
 	}
 
@@ -241,30 +236,29 @@ func run() error {
 
 // clusterOptions carries the resolved cluster/chaos-mode configuration.
 type clusterOptions struct {
-	proto         registry.Proto
-	targets       string
-	spawn         int
-	partitions    int
-	capacity      int
-	killEvery     time.Duration
-	restartAfter  time.Duration
-	dataDir       string
-	snapshotAdopt bool
-	trace         bool
-	minAlive      int
-	growTo        int
-	growEvery     time.Duration
-	drainOne      bool
-	threshold     float64
-	tick          time.Duration
-	clients       int
-	ops           int64
-	ttl           time.Duration
-	holdMean      time.Duration
-	crash         int
-	renew         int
-	seed          uint64
-	jsonPath      string
+	proto        registry.Proto
+	targets      string
+	spawn        int
+	partitions   int
+	capacity     int
+	killEvery    time.Duration
+	restartAfter time.Duration
+	dataDir      string
+	trace        bool
+	minAlive     int
+	growTo       int
+	growEvery    time.Duration
+	drainOne     bool
+	threshold    float64
+	tick         time.Duration
+	clients      int
+	ops          int64
+	ttl          time.Duration
+	holdMean     time.Duration
+	crash        int
+	renew        int
+	seed         uint64
+	jsonPath     string
 }
 
 // runCluster drives the chaos verifier against an external cluster
@@ -302,13 +296,12 @@ func runCluster(opts clusterOptions) error {
 			return fmt.Errorf("invalid -capacity %d (valid: at least -partitions = %d)", opts.capacity, partitions)
 		}
 		local, err := cluster.StartLocal(cluster.LocalConfig{
-			Nodes:         opts.spawn,
-			Partitions:    partitions,
-			Capacity:      opts.capacity,
-			Seed:          opts.seed,
-			DataDir:       opts.dataDir,
-			SnapshotAdopt: opts.snapshotAdopt,
-			Trace:         opts.trace,
+			Nodes:      opts.spawn,
+			Partitions: partitions,
+			Capacity:   opts.capacity,
+			Seed:       opts.seed,
+			DataDir:    opts.dataDir,
+			Trace:      opts.trace,
 			Node: cluster.NodeConfig{
 				Lease:      lease.Config{TickInterval: opts.tick},
 				DefaultTTL: opts.ttl,

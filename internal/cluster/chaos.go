@@ -215,12 +215,9 @@ type ChaosReport struct {
 	EventCounts    map[string]int `json:"event_counts,omitempty"`
 	// EventsUnexplainedBumps counts epoch_bump events with no recorded cause;
 	// EventsDecisionlessFailovers counts steward reassignments whose epoch has
-	// no failover_decision event (a failover the journal cannot explain);
-	// EventsUnfencedAdoptions counts snapshot_adopt events with no fence_write
-	// at the same epoch and partition.
+	// no failover_decision event (a failover the journal cannot explain).
 	EventsUnexplainedBumps      int `json:"events_unexplained_bumps"`
 	EventsDecisionlessFailovers int `json:"events_decisionless_failovers"`
-	EventsUnfencedAdoptions     int `json:"events_unfenced_adoptions"`
 
 	Routing ClientCounters      `json:"routing"`
 	Nodes   []NodeStatsResponse `json:"nodes"`
@@ -273,9 +270,6 @@ func (r ChaosReport) Violations() []string {
 	}
 	if r.EventsDecisionlessFailovers > 0 {
 		v = append(v, fmt.Sprintf("%d steward reassignments have no failover_decision event at their epoch", r.EventsDecisionlessFailovers))
-	}
-	if r.EventsUnfencedAdoptions > 0 {
-		v = append(v, fmt.Sprintf("%d snapshot adoptions have no fence_write event", r.EventsUnfencedAdoptions))
 	}
 	if !r.EventsDisabled && r.EpochBumps > 0 && r.EventCounts[trace.EvEpochBump] == 0 {
 		v = append(v, "epoch bumps invisible in the event journal")

@@ -6,11 +6,10 @@ package cluster
 // member's in-memory ring dies with it, so the pre-kill sweeps are the only
 // complete record). At the end of the run the timeline is audited against
 // the ledger: every epoch bump must carry a cause, every steward reassign
-// must be preceded by a recorded failover decision at that epoch, every
-// snapshot adoption must have its fence write, and a run whose metrics saw
-// quarantines must have journaled their starts. Observer only; a 404 on the
-// first sweep (events disabled by some future deployment shape) turns the
-// watcher off rather than failing the run.
+// must be preceded by a recorded failover decision at that epoch, and a run
+// whose metrics saw quarantines must have journaled their starts. Observer
+// only; a 404 on the first sweep (events disabled by some future deployment
+// shape) turns the watcher off rather than failing the run.
 
 import (
 	"fmt"
@@ -140,30 +139,22 @@ func (w *eventsWatcher) finalize(report *ChaosReport) {
 
 	counts := make(map[string]int)
 	decisionEpochs := make(map[uint64]bool)
-	fenced := make(map[string]bool)
 	for _, ev := range w.events {
 		counts[ev.Type]++
-		switch ev.Type {
-		case trace.EvFailoverDecision:
+		if ev.Type == trace.EvFailoverDecision {
 			decisionEpochs[ev.Epoch] = true
-		case trace.EvFenceWrite:
-			fenced[fmt.Sprintf("%d/%d", ev.Epoch, ev.Partition)] = true
 		}
 	}
 	report.EventCounts = counts
 	for _, ev := range w.events {
-		switch ev.Type {
-		case trace.EvEpochBump:
-			if ev.Cause == "" {
-				report.EventsUnexplainedBumps++
-			}
-			if ev.Cause == "steward_reassign" && !decisionEpochs[ev.Epoch] {
-				report.EventsDecisionlessFailovers++
-			}
-		case trace.EvSnapshotAdopt:
-			if !fenced[fmt.Sprintf("%d/%d", ev.Epoch, ev.Partition)] {
-				report.EventsUnfencedAdoptions++
-			}
+		if ev.Type != trace.EvEpochBump {
+			continue
+		}
+		if ev.Cause == "" {
+			report.EventsUnexplainedBumps++
+		}
+		if ev.Cause == "steward_reassign" && !decisionEpochs[ev.Epoch] {
+			report.EventsDecisionlessFailovers++
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package cluster
 
 // Durability tests: crash-restart replay through the harness, fenced rejoin
-// of a node restarted after its partitions failed over, the fenced snapshot-
-// adoption fast path, and the kill-and-restart chaos acceptance run.
+// of a node restarted after its partitions failed over, and the
+// kill-and-restart chaos acceptance run.
 
 import (
 	"encoding/json"
@@ -17,15 +17,14 @@ import (
 
 // durableLocal boots an in-process cluster with durable lease state rooted in
 // a fresh temp dir, tuned for test speed.
-func durableLocal(t *testing.T, nodes, partitions, capacity int, maxTTL time.Duration, snapshotAdopt bool) *Local {
+func durableLocal(t *testing.T, nodes, partitions, capacity int, maxTTL time.Duration) *Local {
 	t.Helper()
 	l, err := StartLocal(LocalConfig{
-		Nodes:         nodes,
-		Partitions:    partitions,
-		Capacity:      capacity,
-		Seed:          7,
-		DataDir:       t.TempDir(),
-		SnapshotAdopt: snapshotAdopt,
+		Nodes:      nodes,
+		Partitions: partitions,
+		Capacity:   capacity,
+		Seed:       7,
+		DataDir:    t.TempDir(),
 		Node: NodeConfig{
 			Lease:         lease.Config{TickInterval: 20 * time.Millisecond},
 			DefaultTTL:    maxTTL,
@@ -47,7 +46,7 @@ func durableLocal(t *testing.T, nodes, partitions, capacity int, maxTTL time.Dur
 // address; every lease it granted must survive (renewable with its original
 // token) and none of their names may be double-issued afterwards.
 func TestDurableSingleNodeCrashRestart(t *testing.T) {
-	l := durableLocal(t, 1, 2, 64, 30*time.Second, false)
+	l := durableLocal(t, 1, 2, 64, 30*time.Second)
 	c, err := NewClient(ClientConfig{Targets: l.Targets()})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
@@ -109,7 +108,7 @@ func TestDurableSingleNodeCrashRestart(t *testing.T) {
 // the survivors' table must self-fence it — every partition dropped, no
 // double-issue window.
 func TestDurableRestartAfterFailoverFenced(t *testing.T) {
-	l := durableLocal(t, 3, 8, 256, 300*time.Millisecond, false)
+	l := durableLocal(t, 3, 8, 256, 300*time.Millisecond)
 	c, err := NewClient(ClientConfig{Targets: l.Targets()})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
@@ -185,97 +184,12 @@ func TestDurableRestartAfterFailoverFenced(t *testing.T) {
 	}
 }
 
-// TestSnapshotAdoptionSkipsQuarantine exercises the fenced fast-rejoin path:
-// with SnapshotAdopt wired, a failed member's partitions are fenced and
-// imported by the adopter — the dead node's leases stay live (renewable under
-// their original tokens on the new owner) and adopted partitions grant
-// immediately instead of waiting out the MaxTTL quarantine.
-func TestSnapshotAdoptionSkipsQuarantine(t *testing.T) {
-	// MaxTTL 10s makes the quarantine horizon enormous relative to the test:
-	// any grant or renew on an adopted partition proves the fence replaced it.
-	l := durableLocal(t, 3, 8, 256, 10*time.Second, true)
-	c, err := NewClient(ClientConfig{Targets: l.Targets()})
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-
-	victim := 1
-	var victimGrants []GrantResponse
-	for i := 0; i < 24; i++ {
-		g, status, _, err := c.Acquire(10_000)
-		if err != nil || status != http.StatusOK {
-			t.Fatalf("acquire: status %d err %v", status, err)
-		}
-		if g.NodeID == victim {
-			victimGrants = append(victimGrants, g)
-		}
-	}
-	if len(victimGrants) == 0 {
-		t.Fatal("victim holds no leases; test setup broken")
-	}
-	victimParts := map[int]bool{}
-	for _, p := range c.Table().PartitionsOf(victim) {
-		victimParts[p] = true
-	}
-
-	l.Kill(victim)
-	if !l.WaitForEpoch(2, 5*time.Second) {
-		t.Fatal("epoch never bumped after kill")
-	}
-	c.Refresh()
-
-	// The dead node's sessions were imported, not quarantined to death: each
-	// renews under its original token on the new owner.
-	for _, g := range victimGrants {
-		renewed, status, err := c.Renew(g.Name, g.Token, 10_000)
-		if err != nil || status != http.StatusOK {
-			t.Fatalf("imported-session renew %d (token %d): status %d err %v", g.Name, g.Token, status, err)
-		}
-		if renewed.NodeID == victim {
-			t.Fatalf("renew of %d served by the dead node", g.Name)
-		}
-	}
-
-	// Adopted partitions grant right now — with a 10s quarantine they could
-	// not. Keep acquiring until one of the victim's old partitions grants.
-	deadline := time.Now().Add(3 * time.Second)
-	served := false
-	for !served && time.Now().Before(deadline) {
-		g, status, hint, err := c.Acquire(10_000)
-		if err != nil {
-			t.Fatalf("post-failover acquire: %v", err)
-		}
-		switch {
-		case status == http.StatusOK:
-			served = victimParts[g.Partition]
-		case status == http.StatusServiceUnavailable:
-			if hint <= 0 {
-				hint = 20 * time.Millisecond
-			}
-			time.Sleep(hint)
-		default:
-			t.Fatalf("post-failover acquire: status %d", status)
-		}
-	}
-	if !served {
-		t.Fatal("no adopted partition granted; quarantine was not skipped")
-	}
-
-	var adopts uint64
-	for _, id := range l.AliveIDs() {
-		adopts += l.Node(id).snapshotAdopts.Load()
-	}
-	if adopts == 0 {
-		t.Fatal("no fenced snapshot adoption recorded on any survivor")
-	}
-}
-
 // TestChaosKillRestartDurable is the durable chaos acceptance run: a mid-run
 // kill with the node restarted while the run is still going. The ledger must
 // stay violation-free — the restarted member rejoins with a stale epoch and
 // must never double-issue.
 func TestChaosKillRestartDurable(t *testing.T) {
-	l := durableLocal(t, 3, 4, 128, 300*time.Millisecond, false)
+	l := durableLocal(t, 3, 4, 128, 300*time.Millisecond)
 	report, err := RunChaos(ChaosConfig{
 		Local:        l,
 		Clients:      8,

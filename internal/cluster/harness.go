@@ -43,11 +43,6 @@ type LocalConfig struct {
 	// crash — no clean snapshot is written — and Restart can bring the member
 	// back on the same addresses, replaying its recorded state.
 	DataDir string
-	// SnapshotAdopt additionally wires the fenced snapshot-adoption path:
-	// a member that adopts a failed peer's partition fences and imports the
-	// peer's on-disk state (under DataDir/node<prevOwner>/) instead of
-	// quarantining the partition. Requires DataDir.
-	SnapshotAdopt bool
 	// DisableWire leaves the binary wire listeners unbound, so every member
 	// is HTTP-only. By default each local node serves both protocols.
 	DisableWire bool
@@ -175,11 +170,6 @@ func (l *Local) nodeConfigFor(i int) NodeConfig {
 	}
 	if cfg.DataDir != "" {
 		ncfg.DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("node%d", i))
-		if cfg.SnapshotAdopt {
-			ncfg.SnapshotAdopt = func(partition, prevOwner int) string {
-				return filepath.Join(cfg.DataDir, fmt.Sprintf("node%d", prevOwner), fmt.Sprintf("p%d", partition))
-			}
-		}
 	}
 	// Each member gets its own registry — exactly what separate processes
 	// would have — so chaos runs can verify the metrics surface per node.

@@ -253,12 +253,13 @@ func TestMigrateAbortUnfences(t *testing.T) {
 // TestMigrationSourceKilledMidTransfer kills a draining member while the
 // planner is migrating it empty. Whatever instant the kill lands at —
 // before the fence, mid-ship, staged-but-not-cut-over — the outcome must be
-// clean: the survivors adopt its partitions from its durable state, every
-// lease stays renewable, and no name is double-issued.
+// clean. A partition that cut over before the kill keeps its leases on the
+// target; the dead source's other partitions fail over empty behind the
+// quarantine, so their leases are refused rather than renewed. The dead
+// member serves none of them, and no name is granted twice.
 func TestMigrationSourceKilledMidTransfer(t *testing.T) {
 	l := elasticLocal(t, 3, 8, 256, func(cfg *LocalConfig) {
 		cfg.DataDir = t.TempDir()
-		cfg.SnapshotAdopt = true
 	})
 	c, err := NewClient(ClientConfig{Targets: l.Targets()})
 	if err != nil {
@@ -271,6 +272,11 @@ func TestMigrationSourceKilledMidTransfer(t *testing.T) {
 			t.Fatalf("acquire %d: status %d err %v", i, status, err)
 		}
 		held[g.Name] = g.Token
+	}
+	tb := c.Table()
+	sourceParts := map[int]bool{}
+	for _, p := range tb.PartitionsOf(2) {
+		sourceParts[p] = true
 	}
 
 	// Start the drain (the planner begins migrating member 2 empty) and kill
@@ -287,22 +293,48 @@ func TestMigrationSourceKilledMidTransfer(t *testing.T) {
 		return !tb.Members[2].Serving() && len(tb.PartitionsOf(2)) == 0
 	})
 
-	// Ledger-clean either way: every lease renews (migrated, failed over, or
-	// untouched), and fresh acquires never collide with held names.
+	// Every lease renews on a live member (its partition was never the
+	// source's, or cut over before the kill) or is refused (its partition
+	// failed over empty).
+	renewed, refused := 0, 0
 	for name, token := range held {
-		if _, status, err := c.Renew(name, token, 60_000); err != nil || status != http.StatusOK {
-			t.Fatalf("renew %d after source kill: status %d err %v", name, status, err)
+		g, status, err := c.Renew(name, token, 60_000)
+		switch {
+		case err != nil:
+			t.Fatalf("renew %d after source kill: %v", name, err)
+		case status == http.StatusOK:
+			if g.NodeID == 2 {
+				t.Fatalf("renew %d served by the killed member", name)
+			}
+			renewed++
+		case status == http.StatusConflict && sourceParts[tb.PartitionOf(name)]:
+			refused++
+		default:
+			t.Fatalf("renew %d (partition %d) after source kill: status %d", name, tb.PartitionOf(name), status)
 		}
 	}
-	for i := 0; i < 48; i++ {
-		g, status, _, err := c.Acquire(60_000)
-		if err != nil || status != http.StatusOK {
-			t.Fatalf("post-kill acquire %d: status %d err %v", i, status, err)
+	t.Logf("after the kill: %d leases renewed, %d refused by an empty adopter", renewed, refused)
+
+	// Fresh acquires never collide with a held name, refused ones included:
+	// a partition adopted empty grants nothing until its quarantine has
+	// outlived every lease the source could have granted. A 503 backs off.
+	deadline := time.Now().Add(15 * time.Second)
+	for granted := 0; granted < 48; {
+		g, status, hint, err := c.Acquire(60_000)
+		switch {
+		case err != nil:
+			t.Fatalf("post-kill acquire %d: %v", granted, err)
+		case status == http.StatusOK:
+			if _, dup := held[g.Name]; dup {
+				t.Fatalf("name %d granted twice while held", g.Name)
+			}
+			held[g.Name] = g.Token
+			granted++
+		case status == http.StatusServiceUnavailable && time.Now().Before(deadline):
+			time.Sleep(min(hint, 50*time.Millisecond))
+		default:
+			t.Fatalf("post-kill acquire %d: status %d", granted, status)
 		}
-		if _, dup := held[g.Name]; dup {
-			t.Fatalf("name %d granted twice while held", g.Name)
-		}
-		held[g.Name] = g.Token
 	}
 }
 

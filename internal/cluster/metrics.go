@@ -36,9 +36,8 @@ func (n *Node) registerMetrics() {
 	reg.CounterFunc("la_cluster_failovers_total", "Steward reassignments this node performed.", n.failovers.Load)
 	reg.CounterFunc("la_cluster_table_pushes_total", "Membership tables pushed to peers.", n.tablePushes.Load)
 	reg.CounterFunc("la_cluster_table_pulls_total", "Newer membership tables pulled from peers.", n.tablePulls.Load)
-	reg.CounterFunc("la_cluster_snapshot_adopts_total", "Partitions adopted via fenced snapshot import (quarantine skipped).", n.snapshotAdopts.Load)
-	reg.CounterFunc("la_cluster_restored_sessions_total", "Lease sessions rebuilt from durable state (boot replay and fenced imports).", n.restoredSessions.Load)
-	reg.GaugeFunc("la_recovery_seconds", "Cumulative duration of durable-state recovery (boot WAL replay plus fenced imports).", func() float64 {
+	reg.CounterFunc("la_cluster_restored_sessions_total", "Lease sessions rebuilt from durable state (boot replay and migration cutovers).", n.restoredSessions.Load)
+	reg.GaugeFunc("la_recovery_seconds", "Cumulative duration of durable-state recovery (boot WAL replay).", func() float64 {
 		return time.Duration(n.recoveryNanos.Load()).Seconds()
 	})
 

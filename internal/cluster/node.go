@@ -163,8 +163,8 @@ type NodeConfig struct {
 	// restarted node replays its partitions and rejoins at its recorded
 	// epoch: a fast restart (before the peers detect the crash) resumes with
 	// every lease intact and no quarantine; a restart after a failover finds
-	// its directories fenced (or its epoch stale) and self-fences instead of
-	// double-issuing. Empty keeps the node purely in-memory.
+	// its epoch stale and self-fences instead of double-issuing. Empty keeps
+	// the node purely in-memory.
 	DataDir string
 	// WALSync is the journal durability policy (default wal.SyncAlways:
 	// group-committed fsync before every ack).
@@ -175,17 +175,6 @@ type NodeConfig struct {
 	// CheckpointEvery is the per-partition snapshot cadence (the log
 	// truncates at each snapshot). Zero selects 30s.
 	CheckpointEvery time.Duration
-	// SnapshotAdopt, when set together with DataDir, maps a partition and
-	// its failed previous owner to that owner's durable state directory
-	// (shared or replicated storage). On failover the adopter durably fences
-	// that directory BEFORE reading it, folds the recovered snapshot+tail
-	// into its fresh manager, checkpoints the import into its own journal,
-	// and skips the MaxTTL quarantine entirely: the fence ordering (the old
-	// owner re-checks the fence after every durable append and before every
-	// ack) guarantees every grant the old owner acknowledged is visible to
-	// the adopter's read. Nil, or an empty return, falls back to the
-	// quarantine handover.
-	SnapshotAdopt func(partition, prevOwner int) string
 	// Metrics, when non-nil, instruments the lease operations, registers the
 	// cluster families on its registry, and mounts GET /metrics plus the
 	// pprof routes on this node's mux.
@@ -302,7 +291,7 @@ type partition struct {
 	// lease the previous owner could still have outstanding has expired, the
 	// partition serves only 503s, so a name granted by the dead node can
 	// never be concurrently reissued here. Zero for initial partitions and
-	// for fenced snapshot adoptions (the fence replaces the wait).
+	// for migration cutovers (the source's fence replaces the wait).
 	quarantineUntil time.Time
 	// migrating fences the partition during a live migration: acquires skip
 	// it and renew/release answer 421, so once the fence is taken (under the
@@ -400,12 +389,11 @@ type Node struct {
 
 	refreshC chan struct{}
 
-	// Durability telemetry: boot replay duration, sessions restored, and
-	// fenced snapshot adoptions (recoveredBoot also triggers an immediate
-	// anti-entropy pull, since the recorded epoch may be stale).
+	// Durability telemetry: boot replay duration and sessions restored
+	// (recoveredBoot also triggers an immediate anti-entropy pull, since the
+	// recorded epoch may be stale).
 	recoveryNanos    atomic.Int64
 	restoredSessions atomic.Uint64
-	snapshotAdopts   atomic.Uint64
 	recoveredBoot    bool
 
 	lifeMu     sync.Mutex
@@ -601,18 +589,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			stride = part.mgr.Size()
 		}
 		capacity = part.mgr.Capacity()
-		if part.store != nil && part.store.Fenced() {
-			// Another node adopted this partition's state while we were
-			// down: a newer table exists somewhere. Refuse to serve it
-			// (clients see 421s until the pull lands) rather than reissue.
-			n.events.Emit(trace.Event{
-				Type: trace.EvFencedOnDisk, Level: trace.LevelWarn,
-				Epoch: initialEpoch, Partition: p, Cause: "fence_marker",
-				Detail: "fenced on disk; not serving it",
-			})
-			part.close(n, initialEpoch, false)
-			continue
-		}
 		if part.store != nil {
 			begin := time.Now()
 			rst, err := part.mgr.Restore()
@@ -900,16 +876,17 @@ func (n *Node) adoptTable(t Table, cause string) error {
 	return nil
 }
 
-// adoptPartitionLocked builds one gained partition under a new table. The
-// fast path — shared storage plus SnapshotAdopt — fences the failed owner's
-// directory and imports its state, serving immediately; otherwise the
-// partition starts empty behind the MaxTTL quarantine. Build failures leave
-// the partition unserved (clients see 421s) rather than rejecting the whole
-// table; the epoch still advances. Callers hold mu.
+// adoptPartitionLocked builds one gained partition under a new table. A
+// migration target installs the snapshot its source shipped for this epoch
+// and serves immediately; every other adoption (a failover from a dead
+// owner) starts empty behind the MaxTTL quarantine, since the dead owner's
+// leases can only be waited out. Build failures leave the partition unserved
+// (clients see 421s) rather than rejecting the whole table; the epoch still
+// advances. Callers hold mu.
 func (n *Node) adoptPartitionLocked(id int, t Table, prevOwner int, now time.Time, cause string) {
 	if n.cfg.DataDir != "" {
 		// A fresh incarnation: any state left from a previous ownership of
-		// this partition was retired by the fence/quarantine discipline.
+		// this partition was retired by the epoch fence and the quarantine.
 		if err := os.RemoveAll(n.partDir(id)); err != nil {
 			n.cfg.Logf("cluster: node %d epoch %d: clearing stale state of partition %d: %v", n.cfg.NodeID, t.Epoch, id, err)
 		}
@@ -939,7 +916,7 @@ func (n *Node) adoptPartitionLocked(id int, t Table, prevOwner int, now time.Tim
 	}
 	part := &partition{id: id, mgr: mgr, store: store}
 
-	imported, cutover := false, false
+	cutover := false
 	if st, ok := n.staged[id]; ok {
 		delete(n.staged, id)
 		if st.epoch == t.Epoch && now.Before(st.expires) {
@@ -947,23 +924,12 @@ func (n *Node) adoptPartitionLocked(id int, t Table, prevOwner int, now time.Tim
 				n.cfg.Logf("cluster: node %d epoch %d: installing staged migration snapshot of partition %d failed (falling back): %v",
 					n.cfg.NodeID, t.Epoch, id, err)
 			} else {
-				imported, cutover = true, true
+				cutover = true
 				n.migCutover.Add(1)
 			}
 		}
 	}
-	if !imported && n.cfg.SnapshotAdopt != nil && prevOwner >= 0 {
-		if dir := n.cfg.SnapshotAdopt(id, prevOwner); dir != "" {
-			if err := n.importFenced(part, dir, t.Epoch); err != nil {
-				n.cfg.Logf("cluster: node %d epoch %d: snapshot adoption of partition %d from %s failed (falling back to quarantine): %v",
-					n.cfg.NodeID, t.Epoch, id, dir, err)
-			} else {
-				imported = true
-				n.snapshotAdopts.Add(1)
-			}
-		}
-	}
-	if !imported {
+	if !cutover {
 		part.quarantineUntil = now.Add(n.cfg.Quarantine)
 		n.quarantines.Add(1)
 	}
@@ -972,14 +938,10 @@ func (n *Node) adoptPartitionLocked(id int, t Table, prevOwner int, now time.Tim
 		part.startCheckpoints(n)
 	}
 	n.parts[id] = part
-	switch {
-	case cutover:
+	if cutover {
 		n.events.Eventf(trace.EvMigrationCutover, t.Epoch, id, cause,
 			"cutover: installed snapshot shipped by node %d (%d sessions live, no quarantine)", prevOwner, mgr.Active())
-	case imported:
-		n.events.Eventf(trace.EvSnapshotAdopt, t.Epoch, id, cause,
-			"adopted from fenced snapshot of node %d (%d sessions live, no quarantine)", prevOwner, mgr.Active())
-	default:
+	} else {
 		n.events.Eventf(trace.EvQuarantineStart, t.Epoch, id, cause,
 			"adopted empty; quarantined until %v", part.quarantineUntil.Format(time.TimeOnly))
 		// Journal the matching end so a timeline shows when acquires opened
@@ -993,46 +955,13 @@ func (n *Node) adoptPartitionLocked(id int, t Table, prevOwner int, now time.Tim
 	}
 }
 
-// importFenced executes the fenced snapshot-adoption protocol: durably
-// fence the failed owner's directory FIRST, then read its snapshot+tail and
-// fold them into the fresh manager, then checkpoint the import into our own
-// journal. The fence ordering makes the read complete — the old owner
-// re-checks the fence after every durable append and acks only if absent,
-// so every grant it ever acknowledged is in what we just read — which is
-// exactly why the MaxTTL quarantine is unnecessary on this path.
-func (n *Node) importFenced(part *partition, dir string, epoch uint64) error {
-	if err := wal.Fence(dir, epoch); err != nil {
-		return fmt.Errorf("fencing: %w", err)
-	}
-	n.events.Eventf(trace.EvFenceWrite, epoch, part.id, "snapshot_adopt",
-		"fenced previous owner's journal at %s", dir)
-	snap, tail, err := wal.ReadState(dir)
-	if err != nil {
-		return fmt.Errorf("reading fenced state: %w", err)
-	}
-	rst, err := part.mgr.RestoreState(snap, tail)
-	if err != nil {
-		return fmt.Errorf("restoring fenced state: %w", err)
-	}
-	if part.store != nil {
-		// The import must be durable here before a single request is served:
-		// a crash right after adoption must not forget the old owner's
-		// sessions (our restart would otherwise double-issue their names).
-		if err := part.mgr.Checkpoint(uint32(part.id), epoch, false); err != nil {
-			return fmt.Errorf("checkpointing import: %w", err)
-		}
-	}
-	n.restoredSessions.Add(uint64(rst.Sessions))
-	return nil
-}
-
 // installStagedLocked folds a migration snapshot the source shipped into a
 // freshly built partition — the cutover half of a live migration. No
 // quarantine: the source fenced the partition before exporting, so the
 // snapshot is complete (every grant the source ever acknowledged), and the
-// epoch bump routes every client to us. Like importFenced, the import is
-// checkpointed into our own journal before a single request is served.
-// Callers hold mu.
+// epoch bump routes every client to us. The import is checkpointed into our
+// own journal before a single request is served, so a crash right after the
+// cutover cannot forget the shipped sessions. Callers hold mu.
 func (n *Node) installStagedLocked(part *partition, st stagedSnapshot, epoch uint64) error {
 	rst, err := part.mgr.RestoreState(st.snap, nil)
 	if err != nil {

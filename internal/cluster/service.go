@@ -18,7 +18,6 @@ import (
 	"github.com/levelarray/levelarray/internal/lease"
 	"github.com/levelarray/levelarray/internal/server"
 	"github.com/levelarray/levelarray/internal/trace"
-	"github.com/levelarray/levelarray/internal/wal"
 	"github.com/levelarray/levelarray/internal/wire"
 )
 
@@ -65,19 +64,6 @@ func (n *Node) rlock(sp *trace.Op) {
 		sp.PhaseSince(trace.PhaseQueue, mark)
 	}
 	sp.SetEpoch(n.table.Epoch)
-}
-
-// failLocked maps a journal fence (wal.ErrFenced) to the 412 a stale epoch
-// earns: an adopter fenced this partition's state on disk, so the node is
-// behind exactly as if its table were stale — reject the write and schedule
-// a pull. Other errors (and nil) pass through. Callers hold mu.
-func (n *Node) failLocked(err error) error {
-	if !errors.Is(err, wal.ErrFenced) {
-		return err
-	}
-	n.staleEpochRejects.Add(1)
-	n.requestRefresh()
-	return &server.Error{Code: wire.CodeStaleEpoch, Epoch: n.table.Epoch}
 }
 
 // resolveLocked maps a cluster name to the owned partition and local name:
@@ -164,7 +150,7 @@ func (n *Node) acquire(c server.Call, want int, ttlMillis int64, dst []server.Gr
 			if len(dst) > base {
 				return dst, nil
 			}
-			return dst, n.failLocked(err)
+			return dst, err
 		}
 	}
 	switch {
@@ -208,7 +194,7 @@ func (n *Node) Renew(c server.Call, name int, token uint64, ttlMillis int64) (se
 	c.Span.SetNode(n.cfg.NodeID, part.id)
 	l, err := part.mgr.RenewSpan(local, token, n.ttl(ttlMillis), c.Span)
 	if err != nil {
-		return server.Grant{}, n.failLocked(err)
+		return server.Grant{}, err
 	}
 	return n.grantLocked(part, l), nil
 }
@@ -225,7 +211,7 @@ func (n *Node) Release(c server.Call, name int, token uint64) error {
 		return err
 	}
 	c.Span.SetNode(n.cfg.NodeID, part.id)
-	return n.failLocked(part.mgr.ReleaseSpan(local, token, c.Span))
+	return part.mgr.ReleaseSpan(local, token, c.Span)
 }
 
 // ReleaseN implements server.Service: every ref under one table lock.
@@ -238,7 +224,7 @@ func (n *Node) ReleaseN(c server.Call, refs []lease.Ref, out []lease.RenewOutcom
 	for _, ref := range refs {
 		part, local, err := n.resolveLocked(ref.Name)
 		if err == nil {
-			err = n.failLocked(part.mgr.Release(local, ref.Token))
+			err = part.mgr.Release(local, ref.Token)
 		}
 		out = append(out, lease.RenewOutcome{Err: err})
 	}
@@ -289,7 +275,6 @@ func (n *Node) RenewN(c server.Call, refs []lease.Ref, ttlMillis int64, out []le
 	for _, g := range groups {
 		var err error
 		g.outcomes, err = g.part.mgr.RenewAll(g.refs, ttl, g.outcomes[:0])
-		err = n.failLocked(err)
 		for j, i := range g.idx {
 			if err != nil {
 				items[i].Err = err

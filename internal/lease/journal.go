@@ -79,11 +79,10 @@ func (m *Manager) Restore() (RestoreStats, error) {
 }
 
 // RestoreState rebuilds the manager from an explicit snapshot and log tail
-// rather than the journal's own recovery — the failover path, where an
-// adopting node fences the failed owner's directory, reads its state, and
-// folds it into a fresh manager (whose own journal then checkpoints the
-// imported sessions). The same preconditions as Restore apply: call once,
-// before Start or any operation.
+// rather than the journal's own recovery — the migration path, where a
+// target folds the snapshot its source shipped into a fresh manager (whose
+// own journal then checkpoints the imported sessions). The same
+// preconditions as Restore apply: call once, before Start or any operation.
 func (m *Manager) RestoreState(snap *wal.Snapshot, tail []wal.Record) (RestoreStats, error) {
 	var st RestoreStats
 	st.Records = len(tail)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -282,4 +283,35 @@ func TestRegistryMetadataConflictPanics(t *testing.T) {
 		}
 	}()
 	r.Gauge("x_total", "t")
+}
+
+// TestRenderWhileRegistering: a scrape racing the first use of a new label
+// set (a lazily registered series) must not read the series being appended.
+func TestRenderWhileRegistering(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("la_unavailable_total", "503s by cause.", Label{Name: "code", Value: "full"})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var b bytes.Buffer
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			b.Reset()
+			if err := r.Render(&b); err != nil {
+				t.Errorf("Render: %v", err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		r.Counter("la_unavailable_total", "503s by cause.", Label{Name: "code", Value: strconv.Itoa(i)}).Inc()
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -160,17 +160,18 @@ func (r *Registry) Render(w io.Writer) error {
 	for name := range r.fams {
 		names = append(names, name)
 	}
-	fams := make([]*family, 0, len(names))
+	fams := make([]family, 0, len(names))
 	sort.Strings(names)
 	for _, name := range names {
-		fams = append(fams, r.fams[name])
+		// Copied under mu: registering a new label set appends to series.
+		fams = append(fams, *r.fams[name])
 	}
 	r.mu.Unlock()
 
 	var b strings.Builder
-	for _, f := range fams {
+	for i := range fams {
 		b.Reset()
-		renderFamily(&b, f)
+		renderFamily(&b, &fams[i])
 		if _, err := io.WriteString(w, b.String()); err != nil {
 			return err
 		}

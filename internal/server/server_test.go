@@ -10,12 +10,14 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"github.com/levelarray/levelarray/internal/core"
 	"github.com/levelarray/levelarray/internal/lease"
 	"github.com/levelarray/levelarray/internal/shard"
+	"github.com/levelarray/levelarray/internal/wal"
 )
 
 // newTestService starts an httptest service over a fresh manager.
@@ -507,6 +509,50 @@ func TestFullResponseCarriesRetryAfter(t *testing.T) {
 
 	if _, status, hint, err := c.Acquire(-1); err != nil || status != http.StatusServiceUnavailable || hint != tick {
 		t.Fatalf("client acquire: status %d hint %v err %v, want 503 hint %v", status, hint, err, tick)
+	}
+}
+
+// failedJournal is a lease.Journal whose log has failed, as a wal.Store's
+// has after a failed segment write or fsync: every append is refused.
+type failedJournal struct{}
+
+var errJournalFailed = fmt.Errorf("%w: fsync: %w", wal.ErrFailed, syscall.EIO)
+
+func (failedJournal) Append(wal.Op, uint32, uint64, int64) error { return errJournalFailed }
+func (failedJournal) AppendBatch([]wal.Record) error             { return errJournalFailed }
+func (failedJournal) BeginCheckpoint() (uint64, error)           { return 0, errJournalFailed }
+func (failedJournal) CompleteCheckpoint(*wal.Snapshot) error     { return errJournalFailed }
+func (failedJournal) Recovered() (*wal.Snapshot, []wal.Record)   { return nil, nil }
+
+// TestFailedJournalAnswersClosed pins the error table's wal.ErrFailed row: a
+// manager whose WAL has failed grants nothing and answers 503 closed with
+// the one-tick retry hint, exactly like a closed manager.
+func TestFailedJournalAnswersClosed(t *testing.T) {
+	tick := 30 * time.Millisecond
+	arr := core.MustNew(core.Config{Capacity: 8})
+	mgr := lease.MustNewManager(arr, lease.Config{TickInterval: tick, Journal: failedJournal{}})
+	mgr.Start()
+	defer mgr.Close()
+	srv := httptest.NewServer(New(mgr, Config{DefaultTTL: time.Second}))
+	defer srv.Close()
+
+	resp, err := srv.Client().Post(srv.URL+"/acquire", "application/json", strings.NewReader(`{"ttl_ms": 1000}`))
+	if err != nil {
+		t.Fatalf("acquire: %v", err)
+	}
+	defer resp.Body.Close()
+	var body ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("decoding the error body: %v", err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || body.Error != "closed" {
+		t.Fatalf("acquire on a failed journal: %d %q, want 503 \"closed\"", resp.StatusCode, body.Error)
+	}
+	if got := resp.Header.Get("X-Retry-After-Ms"); got != "30" {
+		t.Fatalf("X-Retry-After-Ms = %q, want %q", got, "30")
+	}
+	if mgr.Active() != 0 {
+		t.Fatalf("%d leases active after refused grants, want 0", mgr.Active())
 	}
 }
 

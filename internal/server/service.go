@@ -10,6 +10,7 @@ import (
 	"github.com/levelarray/levelarray/internal/lease"
 	"github.com/levelarray/levelarray/internal/shard"
 	"github.com/levelarray/levelarray/internal/trace"
+	"github.com/levelarray/levelarray/internal/wal"
 	"github.com/levelarray/levelarray/internal/wire"
 )
 
@@ -21,8 +22,9 @@ import (
 //
 // Writes fail with the lease sentinels (activity.ErrFull,
 // lease.ErrStaleToken, lease.ErrNotLeased, lease.ErrClosed,
-// lease.ErrTTLTooLong) or with an *Error. The error table (outcomeOf) is the
-// one place either becomes a status and a code.
+// lease.ErrTTLTooLong), a failed journal (wal.ErrFailed) or an *Error. The
+// error table (outcomeOf) is the one place any of them becomes a status and
+// a code.
 type Service interface {
 	Acquire(c Call, ttlMillis int64) (Grant, error)
 	Renew(c Call, name int, token uint64, ttlMillis int64) (Grant, error)
@@ -143,6 +145,7 @@ type outcome struct {
 //	lease.ErrStaleToken      stale_token    409
 //	lease.ErrNotLeased       not_leased     409
 //	lease.ErrClosed          closed         503     retry hint
+//	wal.ErrFailed            closed         503     retry hint
 //	lease.ErrTTLTooLong      ttl_too_long   400
 //	(malformed request)      bad_request    400
 //	*Error                   stale_epoch    412     the responder's epoch
@@ -158,6 +161,7 @@ var leaseCodes = [...]struct {
 	{lease.ErrStaleToken, wire.CodeStaleToken},
 	{lease.ErrNotLeased, wire.CodeNotLeased},
 	{lease.ErrClosed, wire.CodeClosed},
+	{wal.ErrFailed, wire.CodeClosed},
 	{lease.ErrTTLTooLong, wire.CodeTTLTooLong},
 }
 

@@ -13,7 +13,7 @@ import (
 
 // Event types: every control-plane transition the cluster can take. The
 // chaos ledger asserts that each ledger-relevant transition (epoch bump,
-// fence, adoption) is explained by one of these in the merged timeline.
+// failover, quarantine) is explained by one of these in the merged timeline.
 const (
 	// EvEpochBump records a node adopting a table with a higher epoch.
 	EvEpochBump = "epoch_bump"
@@ -23,20 +23,13 @@ const (
 	// EvQuorumHold records the steward declining to fail over for lack of
 	// a live majority.
 	EvQuorumHold = "quorum_hold"
-	// EvFenceWrite records writing an epoch fence into a WAL directory.
-	EvFenceWrite = "fence_write"
 	// EvQuarantineStart / EvQuarantineEnd bracket an adoption quarantine.
 	EvQuarantineStart = "quarantine_start"
 	EvQuarantineEnd   = "quarantine_end"
-	// EvSnapshotAdopt records importing a dead peer's fenced snapshot.
-	EvSnapshotAdopt = "snapshot_adopt"
 	// EvPartitionDrop records a node dropping a partition it no longer owns.
 	EvPartitionDrop = "partition_drop"
 	// EvReplay summarizes a restart's WAL replay (sessions, records, RTO).
 	EvReplay = "restart_replay"
-	// EvFencedOnDisk records a restarted node declining a partition whose
-	// directory is fenced by a newer epoch.
-	EvFencedOnDisk = "fenced_on_disk"
 	// EvStaleEpoch records a write rejected by the epoch fence (412).
 	EvStaleEpoch = "stale_epoch_reject"
 	// EvMemberJoin records the steward admitting a new member (joining),

@@ -15,9 +15,9 @@
 // into one trace.
 //
 // The companion EventLog (events.go) journals control-plane transitions —
-// epoch bumps, steward failover decisions with cause and vote set, fence
-// writes, quarantine start/end, snapshot adoptions, restart/replay
-// summaries — into a per-node ring plus an optional durable JSONL file, and
+// epoch bumps, steward failover decisions with cause and vote set,
+// quarantine start/end, migrations, restart/replay summaries — into a
+// per-node ring plus an optional durable JSONL file, and
 // doubles as the leveled, request-ID-correlated structured logger that
 // replaces ad-hoc printf logging on those paths.
 package trace

@@ -257,7 +257,7 @@ func TestEventLogOrderingAndWrap(t *testing.T) {
 func TestEventLogDurableFile(t *testing.T) {
 	dir := t.TempDir()
 	l := NewEventLog(EventConfig{Node: 1, Dir: dir})
-	l.Eventf(EvFenceWrite, 2, 3, "snapshot_adopt", "fenced")
+	l.Eventf(EvMigrationPlan, 2, 3, "load_spread", "move to node 1")
 	l.Emit(Event{Type: EvQuarantineStart, Level: LevelWarn, Epoch: 2, Partition: 3, Cause: "failover"})
 	l.Close()
 
@@ -278,7 +278,7 @@ func TestEventLogDurableFile(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("journal has %d lines, want 2", len(got))
 	}
-	if got[0].Type != EvFenceWrite || got[0].Seq != 1 || got[1].Type != EvQuarantineStart || got[1].Seq != 2 {
+	if got[0].Type != EvMigrationPlan || got[0].Seq != 1 || got[1].Type != EvQuarantineStart || got[1].Seq != 2 {
 		t.Fatalf("journal contents %+v", got)
 	}
 }

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,18 +9,6 @@ import (
 
 	"github.com/levelarray/levelarray/internal/trace"
 )
-
-// fenceName is the adoption fence marker. A steward adopting this
-// partition's state from disk writes it (durably) before reading anything;
-// the original owner re-checks it after every durable append and refuses
-// to ack once present. The ordering — append+fsync, then check fence, then
-// ack — guarantees every acked grant is visible to the adopter's
-// post-fence read of the log.
-const fenceName = "FENCE"
-
-// ErrFenced is returned by Append once another node has fenced this
-// partition's directory. The owner must stop serving the partition.
-var ErrFenced = errors.New("wal: partition fenced by adopter")
 
 // Counters is a point-in-time copy of a store's activity counters, the
 // backing for the la_wal_* metric families.
@@ -37,12 +24,10 @@ type Counters struct {
 // Store is one partition's durable lease journal: an open segment log, the
 // latest snapshot, and the recovered state from Open's replay scan.
 type Store struct {
-	dir    string
-	policy SyncPolicy
-	log    *log
+	dir string
+	log *log
 
-	lsn    atomic.Uint64 // last assigned LSN
-	fenced atomic.Bool
+	lsn atomic.Uint64 // last assigned LSN
 
 	checkpoints   atomic.Uint64
 	replayRecords atomic.Uint64
@@ -61,10 +46,7 @@ func Open(dir string, policy SyncPolicy, syncInterval time.Duration) (*Store, er
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: mkdir: %w", err)
 	}
-	s := &Store{dir: dir, policy: policy}
-	if _, err := os.Stat(filepath.Join(dir, fenceName)); err == nil {
-		s.fenced.Store(true)
-	}
+	s := &Store{dir: dir}
 
 	snap, err := readSnapshot(dir)
 	if err != nil {
@@ -172,13 +154,10 @@ func (s *Store) Recovered() (*Snapshot, []Record) { return s.snap, s.tail }
 // LastLSN returns the highest LSN assigned so far.
 func (s *Store) LastLSN() uint64 { return s.lsn.Load() }
 
-// Fenced reports whether an adopter has fenced this partition.
-func (s *Store) Fenced() bool { return s.fenced.Load() }
-
 // Append journals one record. Under SyncAlways it returns only after the
-// record is fsynced (group-committed with concurrent appenders) and the
-// fence has been re-checked — an Append that returns nil is a grant the
-// adopter is guaranteed to see.
+// record is fsynced (group-committed with concurrent appenders), so an Append
+// that returns nil is a record the next Open replays. Once a segment write or
+// fsync has failed, every Append returns an error wrapping ErrFailed.
 func (s *Store) Append(op Op, name uint32, token uint64, deadline int64) error {
 	return s.AppendTraced(nil, op, name, token, deadline)
 }
@@ -198,38 +177,20 @@ func (s *Store) AppendBatch(recs []Record) error {
 }
 
 // AppendBatchTraced is AppendBatch with flight-recorder phase attribution.
+// A failed log refuses the batch before assigning it LSNs.
 func (s *Store) AppendBatchTraced(sp *trace.Op, recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	if s.fenced.Load() {
-		return ErrFenced
+	if err := s.log.err(); err != nil {
+		return err
 	}
 	buf := make([]byte, 0, len(recs)*frameLen)
 	for i := range recs {
 		recs[i].LSN = s.lsn.Add(1)
 		buf = appendRecord(buf, recs[i])
 	}
-	if err := s.log.append(sp, buf); err != nil {
-		return err
-	}
-	if s.policy == SyncAlways && s.checkFence() {
-		return ErrFenced
-	}
-	return nil
-}
-
-// checkFence stats the fence marker, latching the result (a fence is
-// permanent for the lifetime of the directory's current ownership).
-func (s *Store) checkFence() bool {
-	if s.fenced.Load() {
-		return true
-	}
-	if _, err := os.Stat(filepath.Join(s.dir, fenceName)); err == nil {
-		s.fenced.Store(true)
-		return true
-	}
-	return false
+	return s.log.append(sp, buf)
 }
 
 // BeginCheckpoint seals the current segment and returns the LSN high-water
@@ -271,9 +232,6 @@ func (s *Store) CompleteCheckpoint(snap *Snapshot) error {
 	return nil
 }
 
-// Sync forces an fsync regardless of policy (shutdown path).
-func (s *Store) Sync() error { return s.log.sync() }
-
 // Close flushes and closes the segment log. It does not write a snapshot;
 // graceful shutdown runs a final checkpoint first.
 func (s *Store) Close() error { return s.log.close() }
@@ -290,49 +248,9 @@ func (s *Store) Counters() Counters {
 	}
 }
 
-// Fence durably marks dir as adopted. The writer must call it and see it
-// succeed BEFORE reading the snapshot or log; combined with the owner's
-// append-then-check-fence-then-ack protocol this makes every acked grant
-// visible to the subsequent read.
-func Fence(dir string, epoch uint64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, fenceName)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(f, "epoch %d\n", epoch); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	syncDir(dir)
-	return nil
-}
-
-// Unfence removes the adoption fence, returning the directory to the node
-// that owns it under the new epoch (the adopter hands the directory back
-// by rewriting a fresh snapshot and unfencing).
-func Unfence(dir string) error {
-	err := os.Remove(filepath.Join(dir, fenceName))
-	if err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	syncDir(dir)
-	return nil
-}
-
-// ReadState performs a read-only recovery scan of dir — the adopter's
-// view after fencing: latest snapshot plus every intact record past it,
-// stopping at the first torn record. It never mutates the directory.
+// ReadState performs a read-only recovery scan of dir: the latest snapshot
+// plus every intact record past it, stopping at the first torn record. It
+// never mutates the directory, so a checker can read a live store's state.
 func ReadState(dir string) (*Snapshot, []Record, error) {
 	snap, err := readSnapshot(dir)
 	if err != nil {

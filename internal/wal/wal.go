@@ -10,8 +10,12 @@
 //	snapshot        latest checkpoint (bitmap words + sessions + HWMs)
 //	snapshot.tmp    in-flight checkpoint (ignored by replay; renamed over
 //	                snapshot on completion, so the swap is atomic)
-//	FENCE           adoption fence: once present, the original owner must
-//	                stop acking appends (see Store.Fenced)
+//
+// The store acknowledges a record once its segment write and, under
+// SyncAlways, a covering group-commit fsync have both succeeded; it makes no
+// other filesystem call on the append path. The first failed write or fsync
+// latches the log (ErrFailed): no later append is acknowledged, and a reopen
+// replays what is durable.
 //
 // The package depends only on the standard library; lease wires it in
 // through a narrow Journal interface so the dependency arrow stays

@@ -88,6 +88,14 @@ func TestTornTailTruncatedAndDropped(t *testing.T) {
 	if err := os.Truncate(path, info.Size()-frameLen/2); err != nil {
 		t.Fatalf("truncate: %v", err)
 	}
+	// ReadState, the read-only scan a checker runs beside a live store, sees
+	// the same intact prefix and leaves the torn tail where it is.
+	if _, tail, err := ReadState(dir); err != nil || len(tail) != 4 {
+		t.Fatalf("ReadState: %d records, err %v; want the 4 intact ones", len(tail), err)
+	}
+	if after, err := os.Stat(path); err != nil || after.Size() != info.Size()-frameLen/2 {
+		t.Fatalf("ReadState modified the torn segment (stat %v)", err)
+	}
 
 	s2 := openT(t, dir, SyncNever)
 	defer s2.Close()
@@ -209,43 +217,6 @@ func TestCleanSnapshotSkipsTailAndClearsMarker(t *testing.T) {
 	}
 	if len(tail3) != 1 || tail3[0].Name != 2 {
 		t.Fatalf("post-restart append lost: tail = %+v", tail3)
-	}
-}
-
-func TestFenceBlocksAcks(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir, SyncAlways)
-	if err := s.Append(OpAcquire, 1, 11, 0); err != nil {
-		t.Fatalf("append: %v", err)
-	}
-	if err := Fence(dir, 7); err != nil {
-		t.Fatalf("Fence: %v", err)
-	}
-	if err := s.Append(OpAcquire, 2, 22, 0); err != ErrFenced {
-		t.Fatalf("append after fence = %v, want ErrFenced", err)
-	}
-	if !s.Fenced() {
-		t.Fatalf("Fenced() = false after fence hit")
-	}
-	// The adopter's read must see the pre-fence grant — and, because the
-	// owner fsyncs before checking the fence, the grant it refused to ack
-	// too (replaying it is safe: an unacked lease just expires).
-	snap, tail, err := ReadState(dir)
-	if err != nil {
-		t.Fatalf("ReadState: %v", err)
-	}
-	sessions, _ := Fold(snap, tail)
-	if len(sessions) != 2 {
-		t.Fatalf("adopter sees %d sessions, want 2", len(sessions))
-	}
-	_ = s.Close()
-	if err := Unfence(dir); err != nil {
-		t.Fatalf("Unfence: %v", err)
-	}
-	s2 := openT(t, dir, SyncAlways)
-	defer s2.Close()
-	if err := s2.Append(OpAcquire, 3, 33, 0); err != nil {
-		t.Fatalf("append after unfence: %v", err)
 	}
 }
 
