@@ -1110,7 +1110,7 @@ func BenchmarkLaloadLoopbackSmoke(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		report, err := server.RunLoad(server.LoadConfig{
-			BaseURL:      srv.URL,
+			API:          server.NewClient(srv.URL, nil),
 			Clients:      8,
 			Acquires:     3000,
 			TTL:          300 * time.Millisecond,
@@ -1129,8 +1129,9 @@ func BenchmarkLaloadLoopbackSmoke(b *testing.B) {
 }
 
 // BenchmarkClusterRouteLoopback measures one acquire+release session routed
-// through a 3-node in-process cluster (table lookup, epoch header, owner
-// dispatch, two JSON POSTs through node -> lease -> core), with g concurrent
+// through a 3-node in-process cluster (table lookup, owner dispatch, two
+// epoch-fenced wire frames through node -> lease -> core: Local members
+// advertise wire endpoints, so no hop falls back to HTTP), with g concurrent
 // routed clients' goroutines sharing one cluster.Client.
 func BenchmarkClusterRouteLoopback(b *testing.B) {
 	for _, goroutines := range []int{1, 8} {

@@ -21,8 +21,8 @@
 //	lactl events                    # cluster-wide control-plane timeline, merged
 //	lactl events -type migration    # only migration_plan/cutover/abort events
 //
-// join, drain and rebalance drive elastic membership (proxied to the
-// steward from any member):
+// join, drain and rebalance drive elastic membership; lactl finds the
+// steward in the target's table and sends them there, over either protocol:
 //
 //	lactl join http://10.0.0.9:8080          # admit a member by advertised URL
 //	lactl drain 2                            # migrate member 2 empty, then retire it
@@ -30,11 +30,8 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -43,7 +40,6 @@ import (
 	"time"
 
 	"github.com/levelarray/levelarray/internal/cluster"
-	"github.com/levelarray/levelarray/internal/lease"
 	"github.com/levelarray/levelarray/internal/metrics"
 	"github.com/levelarray/levelarray/internal/registry"
 	"github.com/levelarray/levelarray/internal/server"
@@ -96,10 +92,10 @@ func run() error {
 		return err
 	}
 	src := &source{
-		proto:    proto,
-		base:     strings.TrimRight(*addr, "/"),
-		hc:       &http.Client{Timeout: 5 * time.Second},
-		wclients: map[string]*wire.Client{},
+		proto: proto,
+		base:  strings.TrimRight(*addr, "/"),
+		hc:    &http.Client{Timeout: 5 * time.Second},
+		wire:  map[string]*wire.Client{},
 	}
 	defer src.close()
 
@@ -131,58 +127,33 @@ func run() error {
 	}
 }
 
-// source reads inspection responses over either transport. The commands
-// below only ever see decoded JSON bodies; whether they traveled as an
-// HTTP response or as the Blob of a wire read-opcode is decided here.
+// source reaches the target, and every member its table lists, over the
+// chosen protocol through server.Client (HTTP) or server.WireClient (wire):
+// the commands below pick a member and an opcode, never an encoding.
 type source struct {
-	proto    registry.Proto
-	base     string // HTTP base URL, or a wire host:port
-	hc       *http.Client
-	wclients map[string]*wire.Client // lazy, one per wire endpoint
+	proto registry.Proto
+	base  string // HTTP base URL, or a wire host:port
+	hc    *http.Client
+	wire  map[string]*wire.Client // lazy, one per wire endpoint
 }
 
 func (s *source) close() {
-	for _, c := range s.wclients {
+	for _, c := range s.wire {
 		c.Close()
 	}
 }
 
-// wireFor returns the pooled client for one wire endpoint.
-func (s *source) wireFor(addr string) *wire.Client {
-	c, ok := s.wclients[addr]
+// conn returns the client for one endpoint over the chosen protocol.
+func (s *source) conn(addr string) server.Conn {
+	if s.proto != registry.ProtoWire {
+		return server.NewClient(addr, s.hc)
+	}
+	c, ok := s.wire[addr]
 	if !ok {
 		c = wire.NewClient(addr, nil)
-		s.wclients[addr] = c
+		s.wire[addr] = c
 	}
-	return c
-}
-
-// wireBlob issues one read opcode and decodes its JSON blob into out.
-func (s *source) wireBlob(addr string, req wire.Request, out any) error {
-	var resp wire.Response
-	if err := s.wireFor(addr).Do(&req, &resp); err != nil {
-		return err
-	}
-	if resp.Status != wire.StatusOK {
-		return fmt.Errorf("wire %s to %s returned status %d (%s)", req.Op, addr, resp.Status, resp.Code)
-	}
-	return json.Unmarshal(resp.Blob, out)
-}
-
-// getJSON fetches url and decodes the 2xx body into out.
-func (s *source) getJSON(url string, out any) error {
-	resp, err := s.hc.Get(url)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("GET %s returned %d", url, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return server.NewWireClient(c)
 }
 
 // memberAddr picks the transport endpoint for one member; wire mode needs
@@ -197,48 +168,12 @@ func (s *source) memberAddr(m cluster.Member) (string, error) {
 	return m.Addr, nil
 }
 
-// nodeStats reads one member's /stats body.
-func (s *source) nodeStats(addr string, out *cluster.NodeStatsResponse) error {
-	if s.proto == registry.ProtoWire {
-		return s.wireBlob(addr, wire.Request{Op: wire.OpStats}, out)
-	}
-	return s.getJSON(addr+"/stats", out)
-}
-
-// leasesPage reads one /leases page from addr.
-func (s *source) leasesPage(addr string, start, limit int, out *server.LeasesResponse) error {
-	if s.proto == registry.ProtoWire {
-		return s.wireBlob(addr, wire.Request{Op: wire.OpLeases, Start: int64(start), Limit: int64(limit)}, out)
-	}
-	return s.getJSON(fmt.Sprintf("%s/leases?start=%d&limit=%d", addr, start, limit), out)
-}
-
-// fetchTable pulls the membership table; a 404 (HTTP) or 400 (wire) means
-// the target is a standalone laserve, not a cluster member.
+// fetchTable pulls the membership table from the target; a standalone
+// laserve serves none.
 func (s *source) fetchTable() (cluster.Table, error) {
 	var t cluster.Table
-	if s.proto == registry.ProtoWire {
-		if err := s.wireBlob(s.base, wire.Request{Op: wire.OpMembers}, &t); err != nil {
-			return t, fmt.Errorf("%s serves no membership table (standalone laserve?): %w", s.base, err)
-		}
-		return t, t.Validate()
-	}
-	resp, err := s.hc.Get(s.base + "/cluster")
-	if err != nil {
-		return t, err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode == http.StatusNotFound {
-		return t, fmt.Errorf("%s serves no /cluster endpoint (standalone laserve?)", s.base)
-	}
-	if resp.StatusCode/100 != 2 {
-		return t, fmt.Errorf("GET %s/cluster returned %d", s.base, resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&t); err != nil {
-		return t, err
+	if err := s.conn(s.base).Read(wire.OpMembers, 0, 0, &t); err != nil {
+		return t, fmt.Errorf("%s serves no membership table (standalone laserve?): %w", s.base, err)
 	}
 	return t, t.Validate()
 }
@@ -283,7 +218,7 @@ func runStats(src *source) error {
 			continue
 		}
 		var ns cluster.NodeStatsResponse
-		if err := src.nodeStats(addr, &ns); err != nil {
+		if err := src.conn(addr).Read(wire.OpStats, 0, 0, &ns); err != nil {
 			unreachable = append(unreachable, addr)
 			continue
 		}
@@ -321,94 +256,6 @@ func httpBase(addr string) string {
 	return addr
 }
 
-// scrapeMetrics fetches and parses one node's /metrics exposition. The
-// metrics endpoint is HTTP-only, so this always uses the member's base URL
-// even when -proto wire reads everything else over frames.
-func (s *source) scrapeMetrics(base string) ([]metrics.Sample, error) {
-	resp, err := s.hc.Get(base + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode/100 != 2 {
-		return nil, fmt.Errorf("GET %s/metrics returned %d (metrics disabled or served elsewhere?)", base, resp.StatusCode)
-	}
-	return metrics.ParseText(resp.Body)
-}
-
-// hasSample reports whether any sample of the family is present.
-func hasSample(samples []metrics.Sample, name string) bool {
-	_, ok := metrics.Find(samples, name)
-	return ok
-}
-
-// statsProbe covers both /stats shapes: the clustered body carries a
-// top-level active plus partitions, the standalone body a single lease block.
-type statsProbe struct {
-	Active     int64                    `json:"active"`
-	Lease      lease.Stats              `json:"lease"`
-	Partitions []cluster.PartitionStats `json:"partitions"`
-}
-
-func (p statsProbe) active() int64 {
-	if len(p.Partitions) > 0 || p.Active != 0 {
-		return p.Active
-	}
-	return p.Lease.Active
-}
-
-// opsTotal sums the operations that can move the node's occupancy; the delta
-// between two snapshots bounds how far a mid-scrape gauge may drift.
-func (p statsProbe) opsTotal() uint64 {
-	ops := p.Lease.Acquires + p.Lease.Releases + p.Lease.Expirations + p.Lease.OrphansReclaimed
-	for _, part := range p.Partitions {
-		ops += part.Lease.Acquires + part.Lease.Releases + part.Lease.Expirations + part.Lease.OrphansReclaimed
-	}
-	return ops
-}
-
-// verifyNode checks one member's occupancy gauges against its /stats,
-// bracketing a fresh scrape with two stats snapshots so concurrent churn
-// cannot produce a false failure: the gauge must land inside the snapshot
-// envelope widened by the operations that happened in between.
-func (s *source) verifyNode(base string) error {
-	var before, after statsProbe
-	if err := s.getJSON(base+"/stats", &before); err != nil {
-		return err
-	}
-	samples, err := s.scrapeMetrics(base)
-	if err != nil {
-		return err
-	}
-	if err := s.getJSON(base+"/stats", &after); err != nil {
-		return err
-	}
-	var gauge float64
-	switch {
-	case hasSample(samples, "la_partition_active"):
-		gauge = metrics.Sum(samples, "la_partition_active")
-	case hasSample(samples, "la_leases_active"):
-		gauge, _ = metrics.Find(samples, "la_leases_active")
-	default:
-		return fmt.Errorf("%s: no occupancy gauge (la_partition_active / la_leases_active) in /metrics", base)
-	}
-	lo, hi := before.active(), after.active()
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	churn := int64(after.opsTotal() - before.opsTotal())
-	if churn < 0 {
-		churn = -churn
-	}
-	if int64(gauge) < lo-churn || int64(gauge) > hi+churn {
-		return fmt.Errorf("%s: occupancy gauge %d outside /stats envelope [%d, %d] (churn %d)", base, int64(gauge), lo-churn, hi+churn, churn)
-	}
-	return nil
-}
-
 // runMetrics scrapes /metrics from every member (or the standalone target)
 // and renders per-partition occupancy plus a per-node operation summary.
 func runMetrics(src *source, verify bool) error {
@@ -427,7 +274,7 @@ func runMetrics(src *source, verify bool) error {
 		"node", "ops", "fences", "503s", "acquire p50", "acquire p99", "goroutines")
 	var failures []string
 	for _, base := range bases {
-		samples, err := src.scrapeMetrics(base)
+		samples, _, err := server.NewClient(base, src.hc).Scrape()
 		if err != nil {
 			failures = append(failures, err.Error())
 			continue
@@ -467,8 +314,12 @@ func runMetrics(src *source, verify bool) error {
 		}
 		nodes.AddRow(nodeName, fmt.Sprintf("%.0f", ops), fmt.Sprintf("%.0f", fences), fmt.Sprintf("%.0f", unavail), p50, p99, fmt.Sprintf("%.0f", goroutines))
 		if verify {
-			if err := src.verifyNode(base); err != nil {
-				failures = append(failures, err.Error())
+			msg, err := cluster.CheckOccupancy(src.hc, base)
+			if err != nil {
+				msg = fmt.Sprintf("%s: %v", base, err)
+			}
+			if msg != "" {
+				failures = append(failures, msg)
 			}
 		}
 	}
@@ -525,7 +376,8 @@ func runTrace(src *source, limit int) error {
 	for _, base := range debugBases(src) {
 		var ns nodeSpans
 		ns.base = base
-		if err := src.getJSON(base+"/debug/trace/slow", &ns.resp); err != nil {
+		node := server.NewClient(base, src.hc)
+		if err := node.Get("/debug/trace/slow", &ns.resp); err != nil {
 			failures = append(failures, fmt.Sprintf("%s: %v", base, err))
 			continue
 		}
@@ -537,7 +389,7 @@ func runTrace(src *source, limit int) error {
 			// Nothing slow yet: fall back to the sampled ring so the command
 			// still shows where time goes on a healthy node.
 			var sampled trace.TraceResponse
-			if err := src.getJSON(base+"/debug/trace", &sampled); err == nil && len(sampled.Spans) > 0 {
+			if err := node.Get("/debug/trace", &sampled); err == nil && len(sampled.Spans) > 0 {
 				ns.resp.Spans = sampled.Spans
 				slowOnly = false
 			}
@@ -613,7 +465,7 @@ func runEvents(src *source, limit int, typeFilter string) error {
 	)
 	for _, base := range debugBases(src) {
 		var resp trace.EventsResponse
-		if err := src.getJSON(base+"/debug/events", &resp); err != nil {
+		if err := server.NewClient(base, src.hc).Get("/debug/events", &resp); err != nil {
 			failures = append(failures, fmt.Sprintf("%s: %v", base, err))
 			continue
 		}
@@ -663,47 +515,10 @@ func runEvents(src *source, limit int, typeFilter string) error {
 	return nil
 }
 
-// postJSON POSTs in as JSON and decodes the 2xx body into out; non-2xx
-// replies surface the server's error code when the body carries one.
-func (s *source) postJSON(url string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return err
-		}
-		body = bytes.NewReader(buf)
-	}
-	resp, err := s.hc.Post(url, "application/json", body)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode/100 != 2 {
-		var fail cluster.EpochResponse
-		if json.Unmarshal(data, &fail) == nil && fail.Error != "" {
-			return fmt.Errorf("POST %s returned %d (%s)", url, resp.StatusCode, fail.Error)
-		}
-		return fmt.Errorf("POST %s returned %d", url, resp.StatusCode)
-	}
-	return json.Unmarshal(data, out)
-}
-
-// control issues one membership control call over the configured transport.
-// HTTP posts to any member (the handlers proxy to the steward); the wire
-// control plane is steward-direct, so wire mode resolves the steward from
-// the membership table first.
-func (s *source) control(path string, op wire.Opcode, in, out any) error {
-	if s.proto != registry.ProtoWire {
-		return s.postJSON(s.base+path, in, out)
-	}
+// control runs one membership call on the steward, resolved from the
+// target's table: the wire control plane does not proxy, so both protocols
+// address the steward directly.
+func (s *source) control(op wire.Opcode, in, out any) error {
 	t, err := s.fetchTable()
 	if err != nil {
 		return err
@@ -712,23 +527,11 @@ func (s *source) control(path string, op wire.Opcode, in, out any) error {
 	if !ok {
 		return fmt.Errorf("cluster has no steward (no serving member)")
 	}
-	if st.WireAddr == "" {
-		return fmt.Errorf("steward %d advertises no wire endpoint; use -proto http", st.ID)
+	addr, err := s.memberAddr(st)
+	if err != nil {
+		return fmt.Errorf("steward %d: %w", st.ID, err)
 	}
-	req := wire.Request{Op: op}
-	if in != nil {
-		if req.Blob, err = json.Marshal(in); err != nil {
-			return err
-		}
-	}
-	var resp wire.Response
-	if err := s.wireFor(st.WireAddr).Do(&req, &resp); err != nil {
-		return err
-	}
-	if resp.Status != wire.StatusOK {
-		return fmt.Errorf("wire %s to steward %d returned status %d (%s)", op, st.ID, resp.Status, resp.Code)
-	}
-	return json.Unmarshal(resp.Blob, out)
+	return s.conn(addr).Control(op, in, out)
 }
 
 // runJoin admits a member by its advertised URL. Admission is idempotent per
@@ -743,7 +546,7 @@ func runJoin(src *source, addr, wireAddr string) error {
 		return fmt.Errorf("join needs the member's advertised base URL\n%s", usage())
 	}
 	var out cluster.JoinResponse
-	if err := src.control("/cluster/join", wire.OpJoin, cluster.JoinRequest{Addr: adv, WireAddr: wireAddr}, &out); err != nil {
+	if err := src.control(wire.OpJoin, cluster.JoinRequest{Addr: adv, WireAddr: wireAddr}, &out); err != nil {
 		return err
 	}
 	fmt.Printf("lactl: admitted %s as member %d at epoch %d (%d members); boot it with: laserve -join %s -advertise %s\n",
@@ -759,7 +562,7 @@ func runDrain(src *source, arg string) error {
 		return fmt.Errorf("drain needs a member ID, got %q\n%s", arg, usage())
 	}
 	var out cluster.EpochResponse
-	if err := src.control("/cluster/drain", wire.OpDrain, cluster.DrainRequest{ID: id}, &out); err != nil {
+	if err := src.control(wire.OpDrain, cluster.DrainRequest{ID: id}, &out); err != nil {
 		return err
 	}
 	fmt.Printf("lactl: member %d draining at epoch %d; the planner migrates it empty, then retires it\n", id, out.Epoch)
@@ -770,7 +573,7 @@ func runDrain(src *source, arg string) error {
 // decided — the on-demand version of the periodic load-spreading pass.
 func runRebalance(src *source) error {
 	var out cluster.RebalanceResponse
-	if err := src.control("/cluster/rebalance", wire.OpRebalance, nil, &out); err != nil {
+	if err := src.control(wire.OpRebalance, nil, &out); err != nil {
 		return err
 	}
 	if out.Error != "" {
@@ -803,7 +606,7 @@ func runLeases(src *source, limit int) error {
 		start := 0
 		for start != -1 && len(rows) < limit {
 			var resp server.LeasesResponse
-			if err := src.leasesPage(addr, start, min(limit-len(rows), server.MaxLeasesPageLimit), &resp); err != nil {
+			if err := src.conn(addr).Read(wire.OpLeases, start, min(limit-len(rows), server.MaxLeasesPageLimit), &resp); err != nil {
 				return err
 			}
 			for _, s := range resp.Sessions {

@@ -193,7 +193,7 @@ func run() error {
 		defer wc.Close()
 		loadCfg.API = server.NewWireClient(wc)
 	} else {
-		loadCfg.BaseURL = *addr
+		loadCfg.API = server.NewClient(*addr, nil)
 	}
 	report, err := server.RunLoad(loadCfg)
 	if err != nil {

@@ -73,8 +73,6 @@ type ChaosConfig struct {
 	// ReclaimSlack pads every reclaim/reissue deadline, absorbing HTTP,
 	// scheduler and failover-observation latency. Zero selects 750ms.
 	ReclaimSlack time.Duration
-	// HTTPClient overrides the routed client's transport.
-	HTTPClient *http.Client
 	// DisableWire forces the routed client onto HTTP even against members
 	// that advertise wire endpoints.
 	DisableWire bool
@@ -294,7 +292,6 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	// default 750ms detection horizon even on a loaded CI runner.
 	client, err := NewClient(ClientConfig{
 		Targets:      cfg.Targets,
-		HTTPClient:   cfg.HTTPClient,
 		RouteRounds:  30,
 		RouteBackoff: 150 * time.Millisecond,
 		DisableWire:  cfg.DisableWire,
@@ -324,8 +321,8 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	// run; a first-scrape 404 (metrics disabled) silently turns it off. The
 	// events watcher sweeps /debug/events the same way, assembling the
 	// cluster timeline before kills can destroy in-memory rings.
-	watch := startMetricsWatcher(cfg.Targets, cfg.HTTPClient, cfg.Logf)
-	evwatch := startEventsWatcher(cfg.Targets, cfg.HTTPClient, cfg.Logf)
+	watch := startMetricsWatcher(cfg.Targets, cfg.Logf)
+	evwatch := startEventsWatcher(cfg.Targets, cfg.Logf)
 
 	var (
 		killDone  = make(chan struct{})

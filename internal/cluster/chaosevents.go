@@ -38,13 +38,10 @@ type eventsWatcher struct {
 	stopOnce sync.Once
 }
 
-func startEventsWatcher(targets []string, hc *http.Client, logf func(string, ...any)) *eventsWatcher {
-	if hc == nil {
-		hc = &http.Client{Timeout: 2 * time.Second}
-	}
+func startEventsWatcher(targets []string, logf func(string, ...any)) *eventsWatcher {
 	w := &eventsWatcher{
 		targets: targets,
-		hc:      hc,
+		hc:      &http.Client{Timeout: 2 * time.Second},
 		logf:    logf,
 		seen:    make(map[string]bool),
 		stop:    make(chan struct{}),

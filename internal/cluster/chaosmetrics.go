@@ -12,7 +12,6 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -20,8 +19,10 @@ import (
 	"sync"
 	"time"
 
+	"github.com/levelarray/levelarray/internal/lease"
 	"github.com/levelarray/levelarray/internal/metrics"
 	"github.com/levelarray/levelarray/internal/server"
+	"github.com/levelarray/levelarray/internal/wire"
 )
 
 // chaosScrapeInterval is the watcher's cadence: fast enough to catch the
@@ -86,13 +87,10 @@ type metricsWatcher struct {
 
 // startMetricsWatcher begins scraping the targets; the first sweep decides
 // whether metrics are enabled at all.
-func startMetricsWatcher(targets []string, hc *http.Client, logf func(string, ...any)) *metricsWatcher {
-	if hc == nil {
-		hc = &http.Client{Timeout: 2 * time.Second}
-	}
+func startMetricsWatcher(targets []string, logf func(string, ...any)) *metricsWatcher {
 	w := &metricsWatcher{
 		targets:    targets,
-		hc:         hc,
+		hc:         &http.Client{Timeout: 2 * time.Second},
 		logf:       logf,
 		missing:    make(map[string]bool),
 		last:       make(map[string]map[string]float64),
@@ -140,8 +138,8 @@ func (w *metricsWatcher) sweep() bool {
 	}
 	var results []scraped
 	for _, target := range w.targets {
-		samples, status, err := w.scrape(target)
-		if err != nil || status/100 != 2 {
+		samples, status, err := server.NewClient(target, w.hc).Scrape()
+		if err != nil {
 			// Killed members and mid-kill connection resets are expected;
 			// a 404 from a live member means metrics are off by design.
 			if status == http.StatusNotFound {
@@ -191,22 +189,6 @@ func (w *metricsWatcher) sweep() bool {
 		w.midKill = append(w.midKill, uint64(quarSum))
 	}
 	return true
-}
-
-func (w *metricsWatcher) scrape(target string) ([]metrics.Sample, int, error) {
-	resp, err := w.hc.Get(target + "/metrics")
-	if err != nil {
-		return nil, 0, err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode/100 != 2 {
-		return nil, resp.StatusCode, nil
-	}
-	samples, err := metrics.ParseText(resp.Body)
-	return samples, resp.StatusCode, err
 }
 
 // checkFamilies records required families absent from this healthy scrape.
@@ -348,48 +330,69 @@ func (w *metricsWatcher) finalize(report *ChaosReport) {
 	}
 
 	for _, target := range w.targets {
-		if msg := w.occupancyAgreement(target); msg != "" {
+		// Unreachable members (killed nodes) are no disagreement.
+		if msg, _ := CheckOccupancy(w.hc, target); msg != "" {
 			report.MetricsOccupancyDisagreements = append(report.MetricsOccupancyDisagreements, msg)
 		}
 	}
 }
 
-// occupancyAgreement compares one member's la_partition_active sum against
-// its /stats active count. Returns "" on agreement, unreachable members
-// (killed nodes) included.
-func (w *metricsWatcher) occupancyAgreement(target string) string {
-	var before, after NodeStatsResponse
-	if status, err := server.GetJSON(w.hc, target+"/stats", &before); err != nil || status/100 != 2 {
-		return ""
-	}
-	samples, status, err := w.scrape(target)
-	if err != nil || status/100 != 2 {
-		return ""
-	}
-	if status, err := server.GetJSON(w.hc, target+"/stats", &after); err != nil || status/100 != 2 {
-		return ""
-	}
-	gauge := int64(metrics.Sum(samples, "la_partition_active"))
-	lo, hi := before.Active, after.Active
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	churn := statsOps(after) - statsOps(before)
-	if churn < 0 {
-		churn = -churn
-	}
-	if gauge < lo-churn || gauge > hi+churn {
-		return fmt.Sprintf("%s: gauge %d outside /stats envelope [%d, %d] (churn %d)", target, gauge, lo-churn, hi+churn, churn)
-	}
-	return ""
+// occupancyStats reads both /stats shapes: a cluster member's top-level
+// active count and partitions, or a standalone service's one lease block.
+type occupancyStats struct {
+	Active     int64            `json:"active"`
+	Lease      lease.Stats      `json:"lease"`
+	Partitions []PartitionStats `json:"partitions"`
 }
 
-// statsOps sums the operations that move a node's occupancy; the delta
-// between two snapshots bounds how far a mid-scrape gauge may drift.
-func statsOps(s NodeStatsResponse) int64 {
-	var ops uint64
+func (s occupancyStats) active() int64 {
+	if len(s.Partitions) > 0 || s.Active != 0 {
+		return s.Active
+	}
+	return s.Lease.Active
+}
+
+// ops sums the operations that can move the occupancy; the delta between
+// two readings bounds how far a gauge scraped between them may drift.
+func (s occupancyStats) ops() int64 {
+	ops := s.Lease.Acquires + s.Lease.Releases + s.Lease.Expirations + s.Lease.OrphansReclaimed
 	for _, p := range s.Partitions {
 		ops += p.Lease.Acquires + p.Lease.Releases + p.Lease.Expirations + p.Lease.OrphansReclaimed
 	}
 	return int64(ops)
+}
+
+// CheckOccupancy checks one member's (or a standalone service's) occupancy
+// gauge against its /stats. It brackets one /metrics scrape between two
+// /stats readings, so concurrent churn cannot fail it: the gauge
+// (la_leases_active standalone, the la_partition_active sum on a member)
+// must lie between the two active counts, widened by the operations between
+// them. It returns the disagreement ("" when the gauge agrees) and, apart,
+// the error of a member it could not read.
+func CheckOccupancy(hc *http.Client, base string) (disagreement string, err error) {
+	c := server.NewClient(base, hc)
+	var before, after occupancyStats
+	if err := c.Read(wire.OpStats, 0, 0, &before); err != nil {
+		return "", err
+	}
+	samples, _, err := c.Scrape()
+	if err != nil {
+		return "", err
+	}
+	if err := c.Read(wire.OpStats, 0, 0, &after); err != nil {
+		return "", err
+	}
+	gauge, ok := metrics.Find(samples, "la_leases_active")
+	if !ok {
+		gauge = metrics.Sum(samples, "la_partition_active")
+	}
+	lo, hi := min(before.active(), after.active()), max(before.active(), after.active())
+	churn := after.ops() - before.ops()
+	if churn < 0 {
+		churn = -churn
+	}
+	if int64(gauge) < lo-churn || int64(gauge) > hi+churn {
+		return fmt.Sprintf("%s: occupancy gauge %d outside /stats envelope [%d, %d] (churn %d)", base, int64(gauge), lo-churn, hi+churn, churn), nil
+	}
+	return "", nil
 }

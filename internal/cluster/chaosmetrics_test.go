@@ -1,10 +1,15 @@
 package cluster
 
 import (
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"github.com/levelarray/levelarray/internal/lease"
+	"github.com/levelarray/levelarray/internal/server"
 )
 
 // TestMetricsDuringChaos kills a node mid-run while the metrics watcher
@@ -106,5 +111,69 @@ func TestChaosMetricsDisabled(t *testing.T) {
 	}
 	if v := report.Violations(); v != nil {
 		t.Fatalf("violations: %v", v)
+	}
+}
+
+// fakeMember serves canned /stats bodies, one per call in order (the last
+// repeating), and a canned /metrics exposition.
+func fakeMember(t *testing.T, exposition string, stats ...any) string {
+	calls := 0
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
+		server.WriteJSON(w, http.StatusOK, stats[min(calls, len(stats)-1)])
+		calls++
+	})
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.WriteString(w, exposition)
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
+
+// TestCheckOccupancy pins the one occupancy check lactl -verify and the
+// chaos watcher share: it reads the standalone and the cluster /stats shape
+// alike, widens the envelope by the churn between its two readings, and
+// reports a gauge outside it.
+func TestCheckOccupancy(t *testing.T) {
+	standalone := func(active int64, acquires uint64) any {
+		return server.StatsResponse{Lease: lease.Stats{Active: active, Acquires: acquires}}
+	}
+	node := func(a, b int64) any {
+		return NodeStatsResponse{Active: a + b, Partitions: []PartitionStats{
+			{Partition: 0, Lease: lease.Stats{Active: a, Acquires: uint64(a)}},
+			{Partition: 1, Lease: lease.Stats{Active: b, Acquires: uint64(b)}},
+		}}
+	}
+	nodeGauges := func(a, b int) string {
+		return fmt.Sprintf("la_partition_active{partition=\"0\"} %d\nla_partition_active{partition=\"1\"} %d\n", a, b)
+	}
+	hc := &http.Client{Timeout: 5 * time.Second}
+	for _, tc := range []struct {
+		name  string
+		base  string
+		agree bool
+	}{
+		{"standalone agrees", fakeMember(t, "la_leases_active 5\n", standalone(5, 9)), true},
+		{"standalone gauge high", fakeMember(t, "la_leases_active 6\n", standalone(5, 9)), false},
+		{"node agrees", fakeMember(t, nodeGauges(3, 4), node(3, 4)), true},
+		{"node gauge low", fakeMember(t, nodeGauges(3, 1), node(3, 4)), false},
+		{"node owning nothing", fakeMember(t, "go_goroutines 9\n", node(0, 0)), true},
+		// One acquire between the readings: active 5 then 6, envelope [4, 7].
+		{"churn widens the envelope", fakeMember(t, "la_leases_active 7\n", standalone(5, 9), standalone(6, 10)), true},
+		{"gauge past the churn", fakeMember(t, "la_leases_active 8\n", standalone(5, 9), standalone(6, 10)), false},
+	} {
+		msg, err := CheckOccupancy(hc, tc.base)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if (msg == "") != tc.agree {
+			t.Fatalf("%s: disagreement %q, want agreement %v", tc.name, msg, tc.agree)
+		}
+	}
+	srv := httptest.NewServer(http.NotFoundHandler())
+	srv.Close()
+	if msg, err := CheckOccupancy(hc, srv.URL); err == nil || msg != "" {
+		t.Fatalf("unreachable member: %q, %v; want an error and no disagreement", msg, err)
 	}
 }

@@ -3,13 +3,11 @@ package cluster
 import (
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/levelarray/levelarray/internal/server"
-	"github.com/levelarray/levelarray/internal/trace"
 	"github.com/levelarray/levelarray/internal/wire"
 )
 
@@ -18,9 +16,6 @@ type ClientConfig struct {
 	// Targets seeds the membership discovery: any subset of the cluster's
 	// advertised addresses. The first reachable one supplies the table.
 	Targets []string
-	// HTTPClient overrides the transport. Nil selects one tuned for many
-	// concurrent loopback connections.
-	HTTPClient *http.Client
 	// RouteRounds bounds the refresh-and-retry rounds a routed operation
 	// performs when it hits dead members, stale epochs (412) or moved
 	// partitions (421). Zero selects 8.
@@ -39,23 +34,11 @@ type ClientConfig struct {
 	// protocol to any member with a WireAddr and falls back to HTTP when the
 	// wire hop fails.
 	DisableWire bool
-	// Tracer, when non-nil, records one client-side span per routed
-	// operation: route time per hop, backoff time between rounds, one rid
-	// across every retry — the client-side stitch of a cross-failover trace.
-	// Traced operations also carry the trace flag to the member they land
-	// on, forcing the server-side span of the same rid past sampling.
-	Tracer *trace.Recorder
 }
 
 func (c ClientConfig) withDefaults() (ClientConfig, error) {
 	if len(c.Targets) == 0 {
 		return c, fmt.Errorf("cluster: client needs at least one target")
-	}
-	if c.HTTPClient == nil {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConns = 0
-		tr.MaxIdleConnsPerHost = 1024
-		c.HTTPClient = &http.Client{Transport: tr, Timeout: 30 * time.Second}
 	}
 	if c.RouteRounds <= 0 {
 		c.RouteRounds = 8
@@ -79,7 +62,6 @@ func (c ClientConfig) withDefaults() (ClientConfig, error) {
 // self-heals across failovers. Safe for concurrent use.
 type Client struct {
 	cfg ClientConfig
-	hc  *http.Client
 
 	mu    sync.RWMutex
 	table Table
@@ -89,10 +71,13 @@ type Client struct {
 	// ridSeq mints per-operation request ids (see nextRID).
 	ridSeq atomic.Uint64
 
-	// Pooled wire connections, one client per advertised wire endpoint,
-	// dialed lazily on first routed hop.
-	wmu      sync.Mutex
-	wclients map[string]*wire.Client
+	// One client per member: a server.WireClient per advertised wire
+	// endpoint, dialed lazily on the first hop (conns keeps their pools for
+	// Close), and a server.Client per member URL.
+	cmu      sync.Mutex
+	wclients map[string]*server.WireClient
+	conns    []*wire.Client
+	hclients map[string]*server.Client
 	closed   bool
 
 	// Routing-health counters, exposed through Counters.
@@ -135,7 +120,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{cfg: cfg, hc: cfg.HTTPClient, wclients: make(map[string]*wire.Client)}
+	c := &Client{cfg: cfg, wclients: make(map[string]*server.WireClient), hclients: make(map[string]*server.Client)}
 	c.jitter.Store(uint64(time.Now().UnixNano()))
 	if !c.fetchTable() {
 		return nil, fmt.Errorf("cluster: no target reachable for the initial table: %v", cfg.Targets)
@@ -146,32 +131,46 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 // Close shuts down the client's pooled wire connections. Routed operations
 // issued after Close fall back to HTTP.
 func (c *Client) Close() {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
+	c.cmu.Lock()
+	defer c.cmu.Unlock()
 	c.closed = true
-	for _, wc := range c.wclients {
+	for _, wc := range c.conns {
 		wc.Close()
 	}
-	c.wclients = nil
+	c.wclients, c.conns = nil, nil
 }
 
-// wireFor returns the pooled wire client for a member, dialing lazily, or
-// nil when the member is HTTP-only (or wire is disabled).
-func (c *Client) wireFor(m Member) *wire.Client {
+// wireFor returns the wire client for a member, dialing lazily, or nil when
+// the member is HTTP-only (or wire is disabled, or the client closed).
+func (c *Client) wireFor(m Member) *server.WireClient {
 	if c.cfg.DisableWire || m.WireAddr == "" {
 		return nil
 	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
+	c.cmu.Lock()
+	defer c.cmu.Unlock()
 	if c.closed {
 		return nil
 	}
 	wc := c.wclients[m.WireAddr]
 	if wc == nil {
-		wc = wire.NewClient(m.WireAddr, nil)
+		conn := wire.NewClient(m.WireAddr, nil)
+		c.conns = append(c.conns, conn)
+		wc = server.NewWireClient(conn)
 		c.wclients[m.WireAddr] = wc
 	}
 	return wc
+}
+
+// httpFor returns the HTTP client for one member URL.
+func (c *Client) httpFor(addr string) *server.Client {
+	c.cmu.Lock()
+	defer c.cmu.Unlock()
+	hc := c.hclients[addr]
+	if hc == nil {
+		hc = server.NewClient(addr, nil)
+		c.hclients[addr] = hc
+	}
+	return hc
 }
 
 // Table returns the client's current view of the membership table.
@@ -197,117 +196,30 @@ func (c *Client) Counters() ClientCounters {
 // backoffSleep pauses between routing rounds: RouteBackoff doubled per round
 // and jittered, capped at RouteBackoffMax, so clients hammering a cluster
 // mid-failover spread out instead of sweeping the table in lockstep.
-func (c *Client) backoffSleep(round int, sp *trace.Op) {
+func (c *Client) backoffSleep(round int) {
 	c.backoffs.Add(1)
-	d := wire.Backoff(c.cfg.RouteBackoff, c.cfg.RouteBackoffMax, round, &c.jitter)
-	time.Sleep(d)
-	sp.Phase(trace.PhaseBackoff, d)
+	time.Sleep(wire.Backoff(c.cfg.RouteBackoff, c.cfg.RouteBackoffMax, round, &c.jitter))
 }
 
-// nextRID mints one trace id per routed operation. The high bit is set so a
-// caller-provided frame ID can never collide with the wire client pool's
-// auto-assigned sequence (which counts up from 1); every retry hop of one
-// operation carries the same id, over both transports.
+// nextRID mints one request id per routed operation. The high bit is set so
+// it can never collide with the wire client pool's auto-assigned sequence
+// (which counts up from 1); every retry hop of one operation carries the
+// same id, over both transports, so the members' spans and fence logs join
+// the op's hops by it.
 func (c *Client) nextRID() uint64 { return c.ridSeq.Add(1) | 1<<63 }
 
-// ridString renders a trace id in the X-Request-ID vocabulary, so the HTTP
-// fallback hop carries the same identity the wire frame would.
-func ridString(rid uint64) string { return wire.RIDString(rid) }
-
-// beginSpan opens the client-side span of one routed operation, or returns
-// nil without formatting the rid when tracing is off. The same rid the
-// member-side spans record makes `lactl trace` joinable across the two
-// rings; hop time lands in the route phase, inter-round sleeps in backoff.
-func (c *Client) beginSpan(op string, rid uint64) *trace.Op {
-	if !c.cfg.Tracer.Enabled() {
-		return nil
-	}
-	return c.cfg.Tracer.Begin(op, ridString(rid))
-}
-
-// clientCall recycles one wire request/response pair per routed hop.
-type clientCall struct {
-	req  wire.Request
-	resp wire.Response
-}
-
-var clientCallPool = sync.Pool{New: func() any { return new(clientCall) }}
-
-func putClientCall(w *clientCall) {
-	w.req = wire.Request{Items: w.req.Items[:0]}
-	w.resp.Reset()
-	clientCallPool.Put(w)
-}
-
-// wireRequestFor translates an owner-addressed HTTP body to its wire opcode;
-// false when the path has no wire equivalent.
-func wireRequestFor(body any, req *wire.Request) bool {
-	switch b := body.(type) {
-	case server.AcquireRequest:
-		req.Op = wire.OpAcquire
-		req.TTLMillis = b.TTLMillis
-		req.Items = req.Items[:0]
-		return true
-	case server.RenewRequest:
-		req.Op = wire.OpRenew
-		req.TTLMillis = b.TTLMillis
-		req.Items = append(req.Items[:0], wire.Ref{Name: int64(b.Name), Token: b.Token})
-		return true
-	case server.ReleaseRequest:
-		req.Op = wire.OpRelease
-		req.Items = append(req.Items[:0], wire.Ref{Name: int64(b.Name), Token: b.Token})
-		return true
-	}
-	return false
-}
-
-// hop sends one epoch-fenced operation to one member, preferring the binary
-// protocol and falling back to HTTP when the wire transport fails. It
-// returns the member's status, the epoch it advertised on a fence, and the
-// retry hint on a 503.
-func (c *Client) hop(m Member, epoch uint64, rid uint64, sp *trace.Op, body any, out *GrantResponse, path string) (status int, fencedAt uint64, retry time.Duration, err error) {
-	defer sp.PhaseSince(trace.PhaseRoute, sp.Mark())
+// hop sends one lease write to one member over its wire endpoint, or over
+// HTTP when it advertises none or the wire transport fails.
+func (c *Client) hop(m Member, w server.Write) (server.Answer, error) {
 	if wc := c.wireFor(m); wc != nil {
-		call := clientCallPool.Get().(*clientCall)
-		if wireRequestFor(body, &call.req) {
-			call.req.Epoch = epoch
-			call.req.ID = rid
-			call.req.Trace = sp.Traced()
-			if werr := wc.Do(&call.req, &call.resp); werr == nil {
-				c.wireOps.Add(1)
-				resp := &call.resp
-				if resp.Status == wire.StatusOK && out != nil && len(resp.Grants) == 1 {
-					*out = server.GrantFromWire(resp.Grants[0])
-				}
-				status, fencedAt = int(resp.Status), resp.Epoch
-				retry = time.Duration(resp.RetryAfterMillis) * time.Millisecond
-				putClientCall(call)
-				return status, fencedAt, retry, nil
-			}
-			c.wireFallbacks.Add(1)
+		a, err := wc.Write(w)
+		if err == nil {
+			c.wireOps.Add(1)
+			return a, nil
 		}
-		putClientCall(call)
+		c.wireFallbacks.Add(1)
 	}
-	var fence EpochResponse
-	// A typed-nil *GrantResponse must become a true nil interface, or
-	// PostJSON would try to decode into it and report a transport error —
-	// turning an applied release into a spurious retry.
-	var dst any
-	if out != nil {
-		dst = out
-	}
-	hdr := http.Header{server.RequestIDHeader: {ridString(rid)}}
-	if epoch != 0 {
-		hdr.Set(EpochHeader, strconv.FormatUint(epoch, 10))
-	}
-	if sp.Traced() {
-		hdr.Set(server.TraceForceHeader, "1")
-	}
-	status, header, err := server.PostJSON(c.hc, m.Addr+path, hdr, body, dst, &fence)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return status, fence.Epoch, server.RetryAfterHint(header, 0), nil
+	return c.httpFor(m.Addr).Write(w)
 }
 
 // adoptTable installs t if it is newer than the current view.
@@ -337,8 +249,7 @@ func (c *Client) fetchTable() bool {
 	addrs = append(addrs, c.cfg.Targets...)
 	for _, addr := range addrs {
 		var t Table
-		status, err := server.GetJSON(c.hc, addr+"/cluster", &t)
-		if err != nil || status/100 != 2 {
+		if c.httpFor(addr).Read(wire.OpMembers, 0, 0, &t) != nil {
 			continue
 		}
 		if c.adoptTable(t) || t.Epoch == c.Table().Epoch {
@@ -360,8 +271,7 @@ func (c *Client) Refresh() bool {
 // and HTTP status; on a cluster-wide 503 the duration carries the smallest
 // Retry-After pacing the members advertised.
 func (c *Client) Acquire(ttlMillis int64) (GrantResponse, int, time.Duration, error) {
-	rid := c.nextRID()
-	sp := c.beginSpan("client.acquire", rid)
+	w := server.Write{Op: wire.OpAcquire, TTLMillis: ttlMillis, ID: c.nextRID()}
 	for round := 0; ; round++ {
 		t := c.Table()
 		alive := t.Alive()
@@ -369,135 +279,101 @@ func (c *Client) Acquire(ttlMillis int64) (GrantResponse, int, time.Duration, er
 		sawFull := false
 		hint := time.Duration(0)
 		refresh := false
+		w.Epoch = t.Epoch
 		for i := 0; i < len(alive); i++ {
-			m := alive[(start+uint64(i))%uint64(len(alive))]
-			var grant GrantResponse
-			status, _, retry, err := c.hop(m, t.Epoch, rid, sp, server.AcquireRequest{TTLMillis: ttlMillis}, &grant, "/acquire")
+			a, err := c.hop(alive[(start+uint64(i))%uint64(len(alive))], w)
 			switch {
 			case err != nil:
 				c.deadHops.Add(1)
 				refresh = true
-			case status/100 == 2:
-				if sp != nil {
-					sp.SetNode(grant.NodeID, grant.Partition)
-					sp.SetEpoch(grant.Epoch)
-					sp.Finish("")
-				}
-				return grant, status, 0, nil
-			case status == http.StatusServiceUnavailable:
+			case a.Status/100 == 2:
+				return a.Grant, a.Status, 0, nil
+			case a.Status == http.StatusServiceUnavailable:
 				sawFull = true
-				if retry > 0 && (hint == 0 || retry < hint) {
-					hint = retry
+				if a.Retry > 0 && (hint == 0 || a.Retry < hint) {
+					hint = a.Retry
 				}
-			case status == http.StatusPreconditionFailed:
+			case a.Status == http.StatusPreconditionFailed:
 				c.staleEpochs.Add(1)
 				refresh = true
 			default:
-				sp.Finish(fmt.Sprintf("http_%d", status))
-				return GrantResponse{}, status, 0, nil
+				return GrantResponse{}, a.Status, 0, nil
 			}
 		}
 		if sawFull {
 			// At least one member answered authoritatively: the cluster is
 			// saturated (or warming); pacing is the caller's business.
-			sp.Finish(server.ErrCodeFull)
 			return GrantResponse{}, http.StatusServiceUnavailable, hint, nil
 		}
 		if round+1 >= c.cfg.RouteRounds {
-			sp.Finish("route_exhausted")
-			return GrantResponse{}, 0, 0, fmt.Errorf("cluster: no member served acquire after %d rounds (rid=%s)", round+1, ridString(rid))
+			return GrantResponse{}, 0, 0, fmt.Errorf("cluster: no member served acquire after %d rounds (rid=%s)", round+1, wire.RIDString(w.ID))
 		}
 		if refresh || len(alive) == 0 {
 			c.Refresh()
 		}
-		c.backoffSleep(round, sp)
+		c.backoffSleep(round)
 	}
 }
 
-// routed sends one owner-addressed operation with refresh-and-retry routing;
-// op names its client-side span.
-func (c *Client) routed(op, path string, name int, body any, out *GrantResponse) (int, error) {
-	rid := c.nextRID()
-	sp := c.beginSpan(op, rid)
+// routed sends one owner-addressed write with refresh-and-retry routing.
+func (c *Client) routed(w server.Write) (server.Answer, error) {
+	w.ID = c.nextRID()
 	var lastErr error
 	for round := 0; ; round++ {
 		t := c.Table()
-		p := t.PartitionOf(name)
+		p := t.PartitionOf(w.Name)
 		if p < 0 {
-			sp.Finish(server.ErrCodeBadRequest)
-			return 0, fmt.Errorf("cluster: name %d outside the namespace [0, %d)", name, t.Size())
+			return server.Answer{}, fmt.Errorf("cluster: name %d outside the namespace [0, %d)", w.Name, t.Size())
 		}
-		owner, ok := t.Owner(p)
-		if ok {
-			status, fencedAt, _, err := c.hop(owner, t.Epoch, rid, sp, body, out, path)
+		if owner, ok := t.Owner(p); ok {
+			w.Epoch = t.Epoch
+			a, err := c.hop(owner, w)
 			switch {
 			case err != nil:
 				c.deadHops.Add(1)
 				lastErr = err
-			case status == http.StatusPreconditionFailed:
+			case a.Status == http.StatusPreconditionFailed:
 				c.staleEpochs.Add(1)
-				lastErr = fmt.Errorf("cluster: %s fenced by epoch %d (ours %d, rid=%s)", path, fencedAt, t.Epoch, ridString(rid))
-			case status == http.StatusMisdirectedRequest:
+				lastErr = fmt.Errorf("cluster: %v fenced by epoch %d (ours %d, rid=%s)", w.Op, a.Epoch, t.Epoch, wire.RIDString(w.ID))
+			case a.Status == http.StatusMisdirectedRequest:
 				c.misroutes.Add(1)
-				lastErr = fmt.Errorf("cluster: member %d no longer owns partition %d (rid=%s)", owner.ID, p, ridString(rid))
+				lastErr = fmt.Errorf("cluster: member %d no longer owns partition %d (rid=%s)", owner.ID, p, wire.RIDString(w.ID))
 			default:
-				if sp != nil {
-					sp.SetNode(owner.ID, p)
-					sp.SetEpoch(t.Epoch)
-					if status/100 == 2 {
-						sp.Finish("")
-					} else {
-						sp.Finish(fmt.Sprintf("http_%d", status))
-					}
-				}
-				return status, nil
+				return a, nil
 			}
 		}
 		if round+1 >= c.cfg.RouteRounds {
-			sp.Finish("route_exhausted")
-			return 0, fmt.Errorf("cluster: routing %s for name %d failed after %d rounds: %w", path, name, round+1, lastErr)
+			return server.Answer{}, fmt.Errorf("cluster: routing %v for name %d failed after %d rounds: %w", w.Op, w.Name, round+1, lastErr)
 		}
 		c.Refresh()
-		c.backoffSleep(round, sp)
+		c.backoffSleep(round)
 	}
 }
 
 // Renew extends a lease through the partition's owner.
 func (c *Client) Renew(name int, token uint64, ttlMillis int64) (GrantResponse, int, error) {
-	var grant GrantResponse
-	status, err := c.routed("client.renew", "/renew", name, server.RenewRequest{Name: name, Token: token, TTLMillis: ttlMillis}, &grant)
-	return grant, status, err
+	a, err := c.routed(server.Write{Op: wire.OpRenew, Name: name, Token: token, TTLMillis: ttlMillis})
+	return a.Grant, a.Status, err
 }
 
 // Release frees a lease through the partition's owner.
 func (c *Client) Release(name int, token uint64) (int, error) {
-	return c.routed("client.release", "/release", name, server.ReleaseRequest{Name: name, Token: token}, nil)
+	a, err := c.routed(server.Write{Op: wire.OpRelease, Name: name, Token: token})
+	return a.Status, err
 }
 
 // CollectNode fetches one member's registered names (GET /collect).
 func (c *Client) CollectNode(addr string) ([]int, error) {
 	var resp server.CollectResponse
-	status, err := server.GetJSON(c.hc, addr+"/collect", &resp)
-	if err != nil {
-		return nil, err
-	}
-	if status/100 != 2 {
-		return nil, fmt.Errorf("cluster: collect from %s returned %d", addr, status)
-	}
-	return resp.Names, nil
+	err := c.httpFor(addr).Read(wire.OpCollect, 0, 0, &resp)
+	return resp.Names, err
 }
 
 // NodeStats fetches one member's /stats.
 func (c *Client) NodeStats(addr string) (NodeStatsResponse, error) {
 	var s NodeStatsResponse
-	status, err := server.GetJSON(c.hc, addr+"/stats", &s)
-	if err != nil {
-		return s, err
-	}
-	if status/100 != 2 {
-		return s, fmt.Errorf("cluster: stats from %s returned %d", addr, status)
-	}
-	return s, nil
+	err := c.httpFor(addr).Read(wire.OpStats, 0, 0, &s)
+	return s, err
 }
 
 // ClusterActive sums the active leases over every reachable live member, and

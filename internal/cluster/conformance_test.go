@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"testing"
 	"time"
 
@@ -27,11 +24,11 @@ const confTick = 20 * time.Millisecond
 type confBackend struct {
 	http   http.Handler
 	wire   wire.Backend
-	epoch  uint64         // the epoch writes carry: the node's, 0 standalone
-	active func() int     // held leases
-	close  func()         // closes the managers behind the service
-	node   *Node          // nil standalone
-	held   []server.Grant // leases the script leaves held
+	epoch  uint64                 // the epoch writes carry: the node's, 0 standalone
+	active func() int             // held leases
+	close  func()                 // closes the managers behind the service
+	node   *Node                  // nil standalone
+	held   []server.GrantResponse // leases the script leaves held
 }
 
 func newManagerBackend(t *testing.T) *confBackend {
@@ -59,113 +56,59 @@ func newNodeBackend(t *testing.T) *confBackend {
 	}
 }
 
-// confResult is one answer as the script checks it, whatever the codec.
-type confResult struct {
-	status int
-	code   string
-	// hintMillis is the 503 retry hint: X-Retry-After-Ms (with Retry-After
-	// beside it) over HTTP, the frame's retry-after field over wire.
-	hintMillis int64
-	// epoch is the epoch a grant or a 412/421 carried.
-	epoch    uint64
-	grant    server.Grant
-	deadline int64
+// confConn performs the single-lease writes through one production client,
+// server.Client or server.WireClient, and fails the test on a transport
+// error. raw is the wire connection the batch steps use (nil over HTTP).
+type confConn struct {
+	t    *testing.T
+	conn server.Conn
+	raw  *wire.Client
 }
 
-// confConn performs the single-lease writes over one codec.
-type confConn interface {
-	acquire(epoch uint64, ttlMillis int64) confResult
-	renew(epoch uint64, name int, token uint64, ttlMillis int64) confResult
-	release(epoch uint64, name int, token uint64) confResult
-}
-
-type httpConn struct {
-	t   *testing.T
-	url string
-	hc  *http.Client
-}
-
-func (c httpConn) post(path string, epoch uint64, body any) confResult {
+func (c confConn) write(w server.Write) server.Answer {
 	c.t.Helper()
-	buf, _ := json.Marshal(body)
-	req, _ := http.NewRequest(http.MethodPost, c.url+path, bytes.NewReader(buf))
-	if epoch != 0 {
-		req.Header.Set(EpochHeader, strconv.FormatUint(epoch, 10))
-	}
-	resp, err := c.hc.Do(req)
+	a, err := c.conn.Write(w)
 	if err != nil {
-		c.t.Fatalf("POST %s: %v", path, err)
+		c.t.Fatalf("%v: %v", w.Op, err)
 	}
-	defer resp.Body.Close()
-	var out struct {
-		Error              string `json:"error"`
-		Name               int    `json:"name"`
-		Token              uint64 `json:"token"`
-		DeadlineUnixMillis int64  `json:"deadline_unix_ms"`
-		Epoch              uint64 `json:"epoch"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		c.t.Fatalf("POST %s: decoding the %d body: %v", path, resp.StatusCode, err)
-	}
-	r := confResult{status: resp.StatusCode, code: out.Error, epoch: out.Epoch,
-		grant: server.Grant{Name: out.Name, Token: out.Token}, deadline: out.DeadlineUnixMillis}
-	if ms := resp.Header.Get("X-Retry-After-Ms"); ms != "" && resp.Header.Get("Retry-After") != "" {
-		r.hintMillis, _ = strconv.ParseInt(ms, 10, 64)
-	}
-	return r
+	return a
 }
 
-func (c httpConn) acquire(epoch uint64, ttl int64) confResult {
-	return c.post("/acquire", epoch, server.AcquireRequest{TTLMillis: ttl})
+func (c confConn) acquire(epoch uint64, ttl int64) server.Answer {
+	return c.write(server.Write{Op: wire.OpAcquire, Epoch: epoch, TTLMillis: ttl})
 }
 
-func (c httpConn) renew(epoch uint64, name int, token uint64, ttl int64) confResult {
-	return c.post("/renew", epoch, server.RenewRequest{Name: name, Token: token, TTLMillis: ttl})
+func (c confConn) renew(epoch uint64, name int, token uint64, ttl int64) server.Answer {
+	return c.write(server.Write{Op: wire.OpRenew, Epoch: epoch, Name: name, Token: token, TTLMillis: ttl})
 }
 
-func (c httpConn) release(epoch uint64, name int, token uint64) confResult {
-	return c.post("/release", epoch, server.ReleaseRequest{Name: name, Token: token})
+func (c confConn) release(epoch uint64, name int, token uint64) server.Answer {
+	return c.write(server.Write{Op: wire.OpRelease, Epoch: epoch, Name: name, Token: token})
 }
 
-type wireConn struct {
+// retryHeaders fails the test on an HTTP answer that carries only one of the
+// two retry headers: the client reads X-Retry-After-Ms, and Retry-After must
+// stand beside it for clients that only know the standard header.
+type retryHeaders struct {
 	t  *testing.T
-	cl *wire.Client
+	rt http.RoundTripper
 }
 
-func (c wireConn) do(req *wire.Request) (confResult, *wire.Response) {
-	c.t.Helper()
-	var resp wire.Response
-	if err := c.cl.Do(req, &resp); err != nil {
-		c.t.Fatalf("%v frame: %v", req.Op, err)
+func (r retryHeaders) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := r.rt.RoundTrip(req)
+	if err == nil && (resp.Header.Get("Retry-After") == "") != (resp.Header.Get("X-Retry-After-Ms") == "") {
+		r.t.Errorf("%s %d: Retry-After %q beside X-Retry-After-Ms %q", req.URL.Path, resp.StatusCode,
+			resp.Header.Get("Retry-After"), resp.Header.Get("X-Retry-After-Ms"))
 	}
-	r := confResult{status: int(resp.Status), code: resp.Code.String(), hintMillis: resp.RetryAfterMillis, epoch: resp.Epoch}
-	if len(resp.Grants) == 1 {
-		g := resp.Grants[0]
-		r.grant = server.Grant{Name: int(g.Name), Token: g.Token}
-		r.deadline = g.DeadlineUnixMilli
-	}
-	return r, &resp
-}
-
-func (c wireConn) acquire(epoch uint64, ttl int64) confResult {
-	r, _ := c.do(&wire.Request{Op: wire.OpAcquire, Epoch: epoch, TTLMillis: ttl})
-	return r
-}
-
-func (c wireConn) renew(epoch uint64, name int, token uint64, ttl int64) confResult {
-	r, _ := c.do(&wire.Request{Op: wire.OpRenew, Epoch: epoch, TTLMillis: ttl, Items: []wire.Ref{{Name: int64(name), Token: token}}})
-	return r
-}
-
-func (c wireConn) release(epoch uint64, name int, token uint64) confResult {
-	r, _ := c.do(&wire.Request{Op: wire.OpRelease, Epoch: epoch, Items: []wire.Ref{{Name: int64(name), Token: token}}})
-	return r
+	return resp, err
 }
 
 func dialHTTP(t *testing.T, b *confBackend) confConn {
 	srv := httptest.NewServer(b.http)
 	t.Cleanup(srv.Close)
-	return httpConn{t: t, url: srv.URL, hc: srv.Client()}
+	hc := srv.Client()
+	hc.Transport = retryHeaders{t: t, rt: hc.Transport}
+	return confConn{t: t, conn: server.NewClient(srv.URL, hc)}
 }
 
 func dialWire(t *testing.T, b *confBackend) confConn {
@@ -180,20 +123,21 @@ func dialWire(t *testing.T, b *confBackend) confConn {
 		cl.Close()
 		_ = srv.Close()
 	})
-	return wireConn{t: t, cl: cl}
+	return confConn{t: t, conn: server.NewWireClient(cl), raw: cl}
 }
 
 // want checks one answer's status, code and retry hint (0 = none).
-func want(t *testing.T, step string, got confResult, status int, code string, hintMillis int64) {
+func want(t *testing.T, step string, got server.Answer, status int, code string, hintMillis int64) {
 	t.Helper()
-	if got.status != status || got.code != code || got.hintMillis != hintMillis {
-		t.Fatalf("%s: got %d %q hint %dms, want %d %q hint %dms", step, got.status, got.code, got.hintMillis, status, code, hintMillis)
+	if got.Status != status || got.Code != code || got.Retry != time.Duration(hintMillis)*time.Millisecond {
+		t.Fatalf("%s: got %d %q hint %v, want %d %q hint %dms", step, got.Status, got.Code, got.Retry, status, code, hintMillis)
 	}
 }
 
 // TestServiceConformance runs one script against {manager-backed service,
-// cluster node} x {HTTP codec, wire codec} and checks every step's status,
-// code and retry hint. A step that differs between the backends says so per
+// cluster node} x {HTTP codec, wire codec}, through the production client of
+// each protocol, and checks every step's status, code, retry hint, epoch and
+// grant. A step that differs between the backends says so per
 // backend; no step differs between the codecs, except that batches exist
 // only as wire opcodes.
 func TestServiceConformance(t *testing.T) {
@@ -207,36 +151,42 @@ func TestServiceConformance(t *testing.T) {
 		}{{"http", dialHTTP}, {"wire", dialWire}} {
 			t.Run(backend.name+"/"+codec.name, func(t *testing.T) {
 				b := backend.mk(t)
-				conformanceScript(t, b, codec.dial(t, b), codec.name == "wire")
+				conformanceScript(t, b, codec.dial(t, b))
 			})
 		}
 	}
 }
 
-func conformanceScript(t *testing.T, b *confBackend, c confConn, wireCodec bool) {
+func conformanceScript(t *testing.T, b *confBackend, c confConn) {
 	tick := confTick.Milliseconds()
 
-	// Grant, renew and release. A grant carries its backend's epoch.
+	// Grant, renew and release. A grant carries its backend's epoch, and a
+	// node's grant says where the lease lives.
 	g := c.acquire(b.epoch, 60_000)
 	want(t, "acquire", g, 200, "", 0)
-	if g.grant.Token == 0 || g.deadline == 0 || g.epoch != b.epoch || b.active() != 1 {
+	if g.Grant.Token == 0 || g.Grant.DeadlineUnixMillis == 0 || g.Epoch != b.epoch || g.Grant.Epoch != b.epoch || b.active() != 1 {
 		t.Fatalf("acquire: %+v with %d held, want a token, a deadline, epoch %d and one held lease", g, b.active(), b.epoch)
 	}
-	r := c.renew(b.epoch, g.grant.Name, g.grant.Token, 60_000)
+	if b.node != nil {
+		if p := b.node.Table().PartitionOf(g.Grant.Name); g.Grant.NodeID != 0 || g.Grant.Partition != p {
+			t.Fatalf("acquire: grant from node %d partition %d, want node 0 partition %d", g.Grant.NodeID, g.Grant.Partition, p)
+		}
+	}
+	r := c.renew(b.epoch, g.Grant.Name, g.Grant.Token, 60_000)
 	want(t, "renew", r, 200, "", 0)
-	if r.grant.Name != g.grant.Name || r.deadline < g.deadline {
-		t.Fatalf("renew: %+v, want name %d with a deadline no earlier than %d", r, g.grant.Name, g.deadline)
+	if r.Grant.Name != g.Grant.Name || r.Grant.Token != g.Grant.Token || r.Grant.DeadlineUnixMillis < g.Grant.DeadlineUnixMillis {
+		t.Fatalf("renew: %+v, want name %d with a deadline no earlier than %d", r, g.Grant.Name, g.Grant.DeadlineUnixMillis)
 	}
 
 	// 409: a wrong token is stale; a released or never-issued name is not
 	// leased.
-	want(t, "renew with a stale token", c.renew(b.epoch, g.grant.Name, g.grant.Token+1, 0), 409, "stale_token", 0)
-	want(t, "release", c.release(b.epoch, g.grant.Name, g.grant.Token), 200, "", 0)
+	want(t, "renew with a stale token", c.renew(b.epoch, g.Grant.Name, g.Grant.Token+1, 0), 409, "stale_token", 0)
+	want(t, "release", c.release(b.epoch, g.Grant.Name, g.Grant.Token), 200, "", 0)
 	if b.active() != 0 {
 		t.Fatalf("%d leases held after the release, want 0", b.active())
 	}
-	want(t, "second release", c.release(b.epoch, g.grant.Name, g.grant.Token), 409, "not_leased", 0)
-	want(t, "renew after release", c.renew(b.epoch, g.grant.Name, g.grant.Token, 0), 409, "not_leased", 0)
+	want(t, "second release", c.release(b.epoch, g.Grant.Name, g.Grant.Token), 409, "not_leased", 0)
+	want(t, "renew after release", c.renew(b.epoch, g.Grant.Name, g.Grant.Token, 0), 409, "not_leased", 0)
 	want(t, "release outside the namespace", c.release(b.epoch, 1<<40, 1), 409, "not_leased", 0)
 
 	// 400: a TTL above MaxTTL (one minute on both backends).
@@ -245,40 +195,40 @@ func conformanceScript(t *testing.T, b *confBackend, c confConn, wireCodec bool)
 	// A write without an epoch passes unfenced on both backends.
 	g = c.acquire(0, 60_000)
 	want(t, "unfenced acquire", g, 200, "", 0)
-	b.held = append(b.held, g.grant)
+	b.held = append(b.held, g.Grant)
 
 	if b.node != nil {
 		// Node only — 412: every write with another epoch, via the header or
 		// the frame, answers the node's current epoch, counts once, and
 		// changes nothing.
 		cur, rejects := b.node.Epoch(), b.node.staleEpochRejects.Load()
-		for step, res := range map[string]confResult{
+		for step, res := range map[string]server.Answer{
 			"acquire at a stale epoch": c.acquire(cur+7, 60_000),
-			"renew at a stale epoch":   c.renew(cur+7, g.grant.Name, g.grant.Token, 60_000),
-			"release at a stale epoch": c.release(cur+7, g.grant.Name, g.grant.Token),
+			"renew at a stale epoch":   c.renew(cur+7, g.Grant.Name, g.Grant.Token, 60_000),
+			"release at a stale epoch": c.release(cur+7, g.Grant.Name, g.Grant.Token),
 		} {
 			want(t, step, res, 412, "stale_epoch", 0)
-			if res.epoch != cur {
-				t.Fatalf("%s carried epoch %d, want the node's %d", step, res.epoch, cur)
+			if res.Epoch != cur || res.Grant != (server.GrantResponse{}) {
+				t.Fatalf("%s: %+v, want the node's epoch %d and no grant", step, res, cur)
 			}
 		}
 		if got := b.node.staleEpochRejects.Load() - rejects; got != 3 {
 			t.Fatalf("stale_epoch_rejects moved by %d, want 3", got)
 		}
-		want(t, "renew at the current epoch", c.renew(cur, g.grant.Name, g.grant.Token, 60_000), 200, "", 0)
+		want(t, "renew at the current epoch", c.renew(cur, g.Grant.Name, g.Grant.Token, 60_000), 200, "", 0)
 
 		// Node only — 421: a name in the other member's partition, with the
 		// node's epoch so the client can tell how stale its table is.
 		tbl := b.node.Table()
 		foreign := tbl.PartitionsOf(1)[0]*tbl.Stride + 3
 		misroutes := b.node.misroutes.Load()
-		for step, res := range map[string]confResult{
+		for step, res := range map[string]server.Answer{
 			"renew of a foreign name":   c.renew(cur, foreign, 1, 0),
 			"release of a foreign name": c.release(cur, foreign, 1),
 		} {
 			want(t, step, res, 421, "not_owner", 0)
-			if res.epoch != cur {
-				t.Fatalf("%s carried epoch %d, want the node's %d", step, res.epoch, cur)
+			if res.Epoch != cur || res.Grant != (server.GrantResponse{}) {
+				t.Fatalf("%s: %+v, want the node's epoch %d and no grant", step, res, cur)
 			}
 		}
 		if got := b.node.misroutes.Load() - misroutes; got != 2 {
@@ -286,17 +236,17 @@ func conformanceScript(t *testing.T, b *confBackend, c confConn, wireCodec bool)
 		}
 	}
 
-	if wireCodec {
-		conformanceBatch(t, b, c.(wireConn))
+	if c.raw != nil {
+		conformanceBatch(t, b, c.raw)
 	}
 
 	// 503 full with a one-tick hint, once the namespace is exhausted.
-	var full confResult
+	var full server.Answer
 	for i := 0; i < 64; i++ {
-		if full = c.acquire(b.epoch, 60_000); full.status != 200 {
+		if full = c.acquire(b.epoch, 60_000); full.Status != 200 {
 			break
 		}
-		b.held = append(b.held, full.grant)
+		b.held = append(b.held, full.Grant)
 	}
 	want(t, "acquire on a full namespace", full, 503, "full", tick)
 
@@ -317,8 +267,17 @@ func conformanceScript(t *testing.T, b *confBackend, c confConn, wireCodec bool)
 // conformanceBatch checks per-item outcomes: one stale or foreign item fails
 // alone, with the code its single-op form would answer, and the batch
 // succeeds. Batches are wire opcodes only.
-func conformanceBatch(t *testing.T, b *confBackend, c wireConn) {
-	r, resp := c.do(&wire.Request{Op: wire.OpAcquireN, Epoch: b.epoch, TTLMillis: 60_000, N: 3})
+func conformanceBatch(t *testing.T, b *confBackend, cl *wire.Client) {
+	// do sends one raw batch frame and answers it as the script checks it.
+	do := func(req *wire.Request) (server.Answer, *wire.Response) {
+		t.Helper()
+		var resp wire.Response
+		if err := cl.Do(req, &resp); err != nil {
+			t.Fatalf("%v frame: %v", req.Op, err)
+		}
+		return server.Answer{Status: int(resp.Status), Code: resp.Code.String(), Retry: time.Duration(resp.RetryAfterMillis) * time.Millisecond}, &resp
+	}
+	r, resp := do(&wire.Request{Op: wire.OpAcquireN, Epoch: b.epoch, TTLMillis: 60_000, N: 3})
 	want(t, "AcquireN", r, 200, "", 0)
 	if len(resp.Grants) != 3 {
 		t.Fatalf("AcquireN granted %d, want 3", len(resp.Grants))
@@ -342,7 +301,7 @@ func conformanceBatch(t *testing.T, b *confBackend, c wireConn) {
 			code   wire.Code
 		}{421, wire.CodeNotOwner})
 	}
-	r, resp = c.do(&wire.Request{Op: wire.OpRenewSession, Epoch: b.epoch, TTLMillis: 60_000, Items: refs})
+	r, resp = do(&wire.Request{Op: wire.OpRenewSession, Epoch: b.epoch, TTLMillis: 60_000, Items: refs})
 	want(t, "RenewSession", r, 200, "", 0)
 	if len(resp.Items) != len(items) {
 		t.Fatalf("RenewSession answered %d items for %d refs", len(resp.Items), len(items))
@@ -358,7 +317,7 @@ func conformanceBatch(t *testing.T, b *confBackend, c wireConn) {
 		refs = append(refs, wire.Ref{Name: g.Name, Token: g.Token})
 	}
 	refs = append(refs, refs[0])
-	r, resp = c.do(&wire.Request{Op: wire.OpReleaseN, Epoch: b.epoch, Items: refs})
+	r, resp = do(&wire.Request{Op: wire.OpReleaseN, Epoch: b.epoch, Items: refs})
 	want(t, "ReleaseN", r, 200, "", 0)
 	for i, it := range resp.Items {
 		wantStatus, wantCode := wire.StatusOK, wire.CodeNone
@@ -370,7 +329,7 @@ func conformanceBatch(t *testing.T, b *confBackend, c wireConn) {
 		}
 	}
 	if b.node != nil {
-		r, _ = c.do(&wire.Request{Op: wire.OpReleaseN, Epoch: b.epoch + 7, Items: refs[:1]})
+		r, _ = do(&wire.Request{Op: wire.OpReleaseN, Epoch: b.epoch + 7, Items: refs[:1]})
 		want(t, "ReleaseN at a stale epoch", r, 412, "stale_epoch", 0)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/levelarray/levelarray/internal/lease"
+	"github.com/levelarray/levelarray/internal/server"
 )
 
 // durableLocal boots an in-process cluster with durable lease state rooted in
@@ -151,7 +152,7 @@ func TestDurableRestartAfterFailoverFenced(t *testing.T) {
 	// A write stamped with the newer epoch is fenced with 412.
 	req := httptest.NewRequest(http.MethodPost, "/acquire", strings.NewReader(`{"ttl_ms":300}`))
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(EpochHeader, "2")
+	req.Header.Set(server.EpochHeader, "2")
 	rec := httptest.NewRecorder()
 	node.ServeHTTP(rec, req)
 	if rec.Code != http.StatusPreconditionFailed {

@@ -26,6 +26,7 @@ package cluster
 // only installs when the adopted epoch is exactly the plan's cutover epoch.
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -153,9 +154,36 @@ func JoinCluster(hc *http.Client, seed, addr, wireAddr string) (int, Table, erro
 // forwarded marks a control request re-POSTed to the steward.
 var forwarded = http.Header{forwardedHeader: {"1"}}
 
-// handleJoin admits a new member. Any node accepts the call; non-stewards
-// proxy it to the steward so `lactl join` and a booting laserve can point at
-// whatever member they know.
+// stewardGate is the HTTP control plane's one steward check, so a booting
+// laserve can send its join to whatever member it knows. It returns true on
+// the steward, which then runs the call. Any other node answers the call
+// itself and returns false: it proxies the call to the steward once and
+// relays the answer; a call already proxied, or a proxy that fails, gets
+// 503 not_owner, and with no serving member the answer is 503
+// no_partitions.
+func (n *Node) stewardGate(w http.ResponseWriter, r *http.Request, body any) bool {
+	st, ok := n.Table().Steward()
+	switch {
+	case !ok:
+		server.WriteUnavailable(w, ErrCodeNoPartitions, n.cfg.ProbeInterval)
+		return false
+	case st.ID == n.cfg.NodeID:
+		return true
+	case r.Header.Get(forwardedHeader) != "":
+		server.WriteUnavailable(w, ErrCodeNotOwner, n.cfg.ProbeInterval)
+		return false
+	}
+	var reply json.RawMessage
+	status, _, err := server.PostJSON(n.cfg.HTTPClient, st.Addr+r.URL.Path, forwarded, body, &reply, &reply)
+	if err != nil {
+		server.WriteUnavailable(w, ErrCodeNotOwner, n.cfg.ProbeInterval)
+		return false
+	}
+	writeJSON(w, status, reply)
+	return false
+}
+
+// handleJoin admits a new member through the steward gate.
 func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
 	if !decode(w, r, &req) {
@@ -165,33 +193,10 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, server.ErrCodeBadRequest)
 		return
 	}
-	t := n.Table()
-	st, ok := t.Steward()
-	if !ok {
-		server.WriteUnavailable(w, ErrCodeNoPartitions, n.cfg.ProbeInterval)
-		return
+	if n.stewardGate(w, r, req) {
+		status, body := n.admitJoin(req)
+		writeJSON(w, status, body)
 	}
-	if st.ID != n.cfg.NodeID {
-		if r.Header.Get(forwardedHeader) != "" {
-			server.WriteUnavailable(w, ErrCodeNotOwner, n.cfg.ProbeInterval)
-			return
-		}
-		var out JoinResponse
-		var fail EpochResponse
-		status, _, err := server.PostJSON(n.cfg.HTTPClient, st.Addr+"/cluster/join", forwarded, req, &out, &fail)
-		if err != nil {
-			server.WriteUnavailable(w, ErrCodeNotOwner, n.cfg.ProbeInterval)
-			return
-		}
-		if status/100 == 2 {
-			writeJSON(w, status, out)
-		} else {
-			writeJSON(w, status, fail)
-		}
-		return
-	}
-	status, body := n.admitJoin(req)
-	writeJSON(w, status, body)
 }
 
 // admitJoin is the steward-side admission, shared by the HTTP handler and
@@ -217,38 +222,16 @@ func (n *Node) admitJoin(req JoinRequest) (int, any) {
 	return http.StatusOK, JoinResponse{ID: id, Table: nt}
 }
 
-// handleDrain starts draining a member; proxied to the steward like join.
+// handleDrain starts draining a member through the steward gate.
 func (n *Node) handleDrain(w http.ResponseWriter, r *http.Request) {
 	var req DrainRequest
 	if !decode(w, r, &req) {
 		return
 	}
-	t := n.Table()
-	st, ok := t.Steward()
-	if !ok {
-		server.WriteUnavailable(w, ErrCodeNoPartitions, n.cfg.ProbeInterval)
-		return
+	if n.stewardGate(w, r, req) {
+		status, body := n.applyDrain(req)
+		writeJSON(w, status, body)
 	}
-	if st.ID != n.cfg.NodeID {
-		if r.Header.Get(forwardedHeader) != "" {
-			server.WriteUnavailable(w, ErrCodeNotOwner, n.cfg.ProbeInterval)
-			return
-		}
-		var out, fail EpochResponse
-		status, _, err := server.PostJSON(n.cfg.HTTPClient, st.Addr+"/cluster/drain", forwarded, req, &out, &fail)
-		if err != nil {
-			server.WriteUnavailable(w, ErrCodeNotOwner, n.cfg.ProbeInterval)
-			return
-		}
-		if status/100 == 2 {
-			writeJSON(w, status, out)
-		} else {
-			writeJSON(w, status, fail)
-		}
-		return
-	}
-	status, body := n.applyDrain(req)
-	writeJSON(w, status, body)
 }
 
 // applyDrain is the steward-side drain transition, shared by the HTTP
@@ -268,35 +251,12 @@ func (n *Node) applyDrain(req DrainRequest) (int, any) {
 	return http.StatusOK, EpochResponse{Adopted: true, Epoch: nt.Epoch}
 }
 
-// handleRebalance forces one planner round on the steward (proxied there
-// from any member) and reports what it did.
+// handleRebalance forces one planner round on the steward, through the
+// steward gate, and reports what it did.
 func (n *Node) handleRebalance(w http.ResponseWriter, r *http.Request) {
-	t := n.Table()
-	st, ok := t.Steward()
-	if !ok {
-		server.WriteUnavailable(w, ErrCodeNoPartitions, n.cfg.ProbeInterval)
-		return
+	if n.stewardGate(w, r, struct{}{}) {
+		writeJSON(w, http.StatusOK, n.rebalanceOnce("api"))
 	}
-	if st.ID != n.cfg.NodeID {
-		if r.Header.Get(forwardedHeader) != "" {
-			server.WriteUnavailable(w, ErrCodeNotOwner, n.cfg.ProbeInterval)
-			return
-		}
-		var out RebalanceResponse
-		var fail EpochResponse
-		status, _, err := server.PostJSON(n.cfg.HTTPClient, st.Addr+"/cluster/rebalance", forwarded, struct{}{}, &out, &fail)
-		if err != nil {
-			server.WriteUnavailable(w, ErrCodeNotOwner, n.cfg.ProbeInterval)
-			return
-		}
-		if status/100 == 2 {
-			writeJSON(w, status, out)
-		} else {
-			writeJSON(w, status, fail)
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, n.rebalanceOnce("api"))
 }
 
 // handleMigratePrepare runs on a migration source: fence, export, ship.

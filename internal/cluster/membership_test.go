@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/levelarray/levelarray/internal/lease"
+	"github.com/levelarray/levelarray/internal/server"
+	"github.com/levelarray/levelarray/internal/trace"
 )
 
 // elasticLocal boots a cluster tuned for fast membership convergence: quick
@@ -390,5 +393,65 @@ func TestChaosGrowAndDrain(t *testing.T) {
 	}
 	if filled == 0 {
 		t.Fatalf("no joined member owns a partition: %+v", tb.Assignment)
+	}
+}
+
+// TestStewardGate sends each HTTP control call to a member that is not the
+// steward. Carrying X-La-Forwarded (a call already proxied once), it answers
+// 503 not_owner itself and runs nothing; sent plainly, the steward answers
+// it: the steward journals the transition (or, for rebalance, reports its
+// own round), and the member that took the call journals nothing.
+func TestStewardGate(t *testing.T) {
+	for _, tc := range []struct {
+		path  string
+		body  any
+		event string // the steward's journal entry; "" for rebalance
+	}{
+		{"/cluster/join", JoinRequest{Addr: "http://127.0.0.1:1"}, trace.EvMemberJoin},
+		{"/cluster/drain", DrainRequest{ID: 2}, trace.EvMemberDrain},
+		{"/cluster/rebalance", struct{}{}, ""},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/cluster/"), func(t *testing.T) {
+			l := fastLocal(t, 3, 4, 128)
+			steward, member := l.Node(0), l.Node(1)
+			if st, _ := member.Table().Steward(); st.ID != 0 {
+				t.Fatalf("steward is member %d, want 0", st.ID)
+			}
+			journaled := func(n *Node) bool {
+				for _, e := range n.events.Events() {
+					if e.Type == tc.event {
+						return true
+					}
+				}
+				return false
+			}
+			hc := &http.Client{Timeout: 5 * time.Second}
+			url := l.Targets()[1] + tc.path
+
+			var fail server.ErrorResponse
+			status, _, err := server.PostJSON(hc, url, forwarded, tc.body, nil, &fail)
+			if err != nil || status != http.StatusServiceUnavailable || fail.Error != ErrCodeNotOwner {
+				t.Fatalf("forwarded call: status %d (%q) err %v, want 503 %q", status, fail.Error, err, ErrCodeNotOwner)
+			}
+			if tc.event != "" && (journaled(steward) || journaled(member)) {
+				t.Fatalf("a forwarded call to a non-steward ran %s", tc.event)
+			}
+
+			var reply RebalanceResponse
+			status, _, err = server.PostJSON(hc, url, nil, tc.body, &reply, &fail)
+			if err != nil || status != http.StatusOK {
+				t.Fatalf("call: status %d (%q) err %v, want 200", status, fail.Error, err)
+			}
+			if tc.event == "" {
+				if reply.Steward != 0 || reply.Error != "" {
+					t.Fatalf("rebalance answered %+v, want the steward's own round", reply)
+				}
+				return
+			}
+			if !journaled(steward) || journaled(member) {
+				t.Fatalf("%s journaled by the steward: %v, by the member called: %v; want only the steward",
+					tc.event, journaled(steward), journaled(member))
+			}
+		})
 	}
 }

@@ -21,10 +21,6 @@ import (
 	"github.com/levelarray/levelarray/internal/wal"
 )
 
-// EpochHeader carries the sender's table epoch on every write; see
-// server.EpochHeader.
-const EpochHeader = server.EpochHeader
-
 // Error codes the cluster node adds to the single-node vocabulary.
 const (
 	// ErrCodeStaleEpoch is the 412 body code: the write's epoch does not

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"syscall"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"github.com/levelarray/levelarray/internal/core"
 	"github.com/levelarray/levelarray/internal/lease"
 	"github.com/levelarray/levelarray/internal/server"
+	"github.com/levelarray/levelarray/internal/wal"
 )
 
 // testNodeConfig builds a NodeConfig for handler-level tests: real node,
@@ -21,7 +24,7 @@ import (
 func postJSON(hc *http.Client, url string, epoch uint64, in, out, errOut any) (int, http.Header, error) {
 	var header http.Header
 	if epoch != 0 {
-		header = http.Header{EpochHeader: {strconv.FormatUint(epoch, 10)}}
+		header = http.Header{server.EpochHeader: {strconv.FormatUint(epoch, 10)}}
 	}
 	return server.PostJSON(hc, url, header, in, out, errOut)
 }
@@ -316,5 +319,51 @@ func TestAdoptedPartitionTokensUseEpochSpace(t *testing.T) {
 		if got := g.Token >> (lease.TokenHandleBits + 32); got != wantEpoch {
 			t.Fatalf("partition %d token %d carries epoch %d, want %d", g.Partition, g.Token, got, wantEpoch)
 		}
+	}
+}
+
+// failedJournal is a lease.Journal whose log has failed, as a wal.Store's
+// has after a failed segment write or fsync: every append is refused.
+type failedJournal struct{}
+
+var errJournalFailed = fmt.Errorf("%w: fsync: %w", wal.ErrFailed, syscall.EIO)
+
+func (failedJournal) Append(wal.Op, uint32, uint64, int64) error { return errJournalFailed }
+func (failedJournal) AppendBatch([]wal.Record) error             { return errJournalFailed }
+func (failedJournal) BeginCheckpoint() (uint64, error)           { return 0, errJournalFailed }
+func (failedJournal) CompleteCheckpoint(*wal.Snapshot) error     { return errJournalFailed }
+func (failedJournal) Recovered() (*wal.Snapshot, []wal.Record)   { return nil, nil }
+
+// TestAcquireSkipsFailedPartition gives one of a node's two partitions a
+// manager whose WAL has failed. Acquires must skip it like a closed
+// partition: the other one grants every acquire until it is full, and only
+// then does the node answer full.
+func TestAcquireSkipsFailedPartition(t *testing.T) {
+	n, err := NewNode(testNodeConfig(0, 1, 2, 8))
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	defer n.Close()
+	failed, open := n.ownedIDs[0], n.ownedIDs[1]
+	n.parts[failed].mgr.Close()
+	n.parts[failed].mgr = lease.MustNewManager(core.MustNew(core.Config{Capacity: 8, Epsilon: 1, Seed: 1}),
+		lease.Config{Journal: failedJournal{}})
+
+	capacity := n.parts[open].mgr.Capacity()
+	granted := 0
+	for ; granted <= 4*capacity; granted++ {
+		g, err := n.Acquire(server.Call{}, 60_000)
+		if err != nil {
+			if !errors.Is(err, activity.ErrFull) {
+				t.Fatalf("acquire %d: %v, want a grant from partition %d or full", granted, err, open)
+			}
+			break
+		}
+		if g.Partition != open {
+			t.Fatalf("acquire %d granted from partition %d, want %d", granted, g.Partition, open)
+		}
+	}
+	if granted < capacity {
+		t.Fatalf("node answered full after %d grants, want at least partition %d's capacity %d", granted, open, capacity)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"github.com/levelarray/levelarray/internal/lease"
 	"github.com/levelarray/levelarray/internal/server"
 	"github.com/levelarray/levelarray/internal/trace"
+	"github.com/levelarray/levelarray/internal/wal"
 	"github.com/levelarray/levelarray/internal/wire"
 )
 
@@ -98,10 +99,10 @@ func (n *Node) grantLocked(part *partition, l lease.Lease) server.Grant {
 
 // acquire grants up to want leases across the node's open partitions,
 // round-robin from a rotating start, under one table lock for the whole
-// call: the cluster counterpart of the manager's AcquireN. Full and closed
-// partitions are skipped, and so are quarantined and migrating ones, whose
-// wait paces the 503 warming answered when nothing else is open. It fails
-// only when it granted nothing.
+// call: the cluster counterpart of the manager's AcquireN. Full, closed and
+// failed (a latched WAL) partitions are skipped, and so are quarantined and
+// migrating ones, whose wait paces the 503 warming answered when nothing
+// else is open. It fails only when it granted nothing.
 func (n *Node) acquire(c server.Call, want int, ttlMillis int64, dst []server.Grant) ([]server.Grant, error) {
 	if err := n.fence(c); err != nil {
 		return dst, err
@@ -146,7 +147,7 @@ func (n *Node) acquire(c server.Call, want int, ttlMillis int64, dst []server.Gr
 				dst = append(dst, n.grantLocked(part, l))
 			}
 		}
-		if err != nil && !errors.Is(err, activity.ErrFull) && !errors.Is(err, lease.ErrClosed) {
+		if err != nil && !errors.Is(err, activity.ErrFull) && !errors.Is(err, lease.ErrClosed) && !errors.Is(err, wal.ErrFailed) {
 			if len(dst) > base {
 				return dst, nil
 			}

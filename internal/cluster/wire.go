@@ -3,9 +3,11 @@ package cluster
 // The binary wire protocol, cluster side. The node's lease opcodes go
 // through the one wire codec in package server, with the frame's epoch
 // field standing in for the X-Cluster-Epoch header; the node itself answers
-// only its membership opcodes. The routed client prefers a member's wire
-// endpoint for lease traffic and falls back to HTTP when the member
-// advertises none (or its wire connection dies mid-run).
+// only its membership opcodes, the control ones behind the wire control
+// plane's steward gate (controlToWire). The routed client (client.go)
+// reaches a member's wire endpoint through server.WireClient and falls back
+// to the member's server.Client, over HTTP, when the member advertises no
+// wire endpoint or the wire hop fails.
 
 import (
 	"encoding/json"

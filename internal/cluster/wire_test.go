@@ -58,6 +58,61 @@ func TestClusterWireRoutedOps(t *testing.T) {
 	}
 }
 
+// TestClusterWireFallback closes one member's wire server: routed acquire,
+// renew and release on that member must still land, over HTTP, each hop
+// counted as one wire fallback.
+func TestClusterWireFallback(t *testing.T) {
+	l := fastLocal(t, 2, 4, 128)
+	c, err := NewClient(ClientConfig{Targets: l.Targets()})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	defer c.Close()
+	if err := l.snapshot()[1].wireSrv.Close(); err != nil {
+		t.Fatalf("closing member 1's wire server: %v", err)
+	}
+
+	// fallbacks runs op and returns how far it moved WireFallbacks.
+	fallbacks := func(op func()) uint64 {
+		before := c.Counters().WireFallbacks
+		op()
+		return c.Counters().WireFallbacks - before
+	}
+	var g GrantResponse
+	for i := 0; g.Token == 0; i++ {
+		if i == 8 {
+			t.Fatal("member 1 granted none of 8 round-robin acquires")
+		}
+		var got GrantResponse
+		moved := fallbacks(func() {
+			var status int
+			if got, status, _, err = c.Acquire(200); err != nil || status != http.StatusOK {
+				t.Fatalf("acquire: status %d err %v", status, err)
+			}
+		})
+		if got.NodeID == 1 {
+			if moved != 1 {
+				t.Fatalf("acquire granted by member 1 moved WireFallbacks by %d, want 1", moved)
+			}
+			g = got
+		}
+	}
+	if moved := fallbacks(func() {
+		if r, status, err := c.Renew(g.Name, g.Token, 200); err != nil || status != http.StatusOK || r.Token != g.Token {
+			t.Fatalf("renew on member 1: %+v status %d err %v", r, status, err)
+		}
+	}); moved != 1 {
+		t.Fatalf("renew on member 1 moved WireFallbacks by %d, want 1", moved)
+	}
+	if moved := fallbacks(func() {
+		if status, err := c.Release(g.Name, g.Token); err != nil || status != http.StatusOK {
+			t.Fatalf("release on member 1: status %d err %v", status, err)
+		}
+	}); moved != 1 {
+		t.Fatalf("release on member 1 moved WireFallbacks by %d, want 1", moved)
+	}
+}
+
 // TestClusterWireDisabled checks the opt-out: with DisableWire the client
 // never opens a binary connection.
 func TestClusterWireDisabled(t *testing.T) {

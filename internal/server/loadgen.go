@@ -2,19 +2,10 @@ package server
 
 import (
 	"fmt"
-	"net/http"
 	"time"
 
 	"github.com/levelarray/levelarray/internal/wire"
 )
-
-// LeaseAPI is what RunLoad drives against one service: the lease ops plus
-// the statistics its drain and expiry checks read. The HTTP Client and the
-// wire-protocol WireClient both implement it.
-type LeaseAPI interface {
-	LeaseOps
-	Stats() (StatsResponse, error)
-}
 
 // wireCounted is implemented by APIs backed by a pooled wire client; the
 // load report uses it for syscall-efficiency stats.
@@ -22,67 +13,10 @@ type wireCounted interface {
 	WireCounters() wire.Counters
 }
 
-// Client is a minimal JSON client for the lease API, safe for concurrent use.
-type Client struct {
-	base string
-	hc   *http.Client
-}
-
-// NewClient builds a client for the service at base (e.g.
-// "http://127.0.0.1:8080"). A nil hc selects a transport tuned for many
-// concurrent loopback connections.
-func NewClient(base string, hc *http.Client) *Client {
-	if hc == nil {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConns = 0
-		tr.MaxIdleConnsPerHost = 1024
-		hc = &http.Client{Transport: tr, Timeout: 30 * time.Second}
-	}
-	return &Client{base: base, hc: hc}
-}
-
-// Acquire requests a lease; see AcquireRequest.TTLMillis for the encoding.
-// On a 503 the returned duration carries the server's Retry-After pacing
-// hint (zero otherwise, or when the server sent none).
-func (c *Client) Acquire(ttlMillis int64) (GrantResponse, int, time.Duration, error) {
-	var g GrantResponse
-	status, header, err := PostJSON(c.hc, c.base+"/acquire", nil, AcquireRequest{TTLMillis: ttlMillis}, &g, nil)
-	var hint time.Duration
-	if status == http.StatusServiceUnavailable {
-		hint = RetryAfterHint(header, 0)
-	}
-	return g, status, hint, err
-}
-
-// Renew extends a lease.
-func (c *Client) Renew(name int, token uint64, ttlMillis int64) (GrantResponse, int, error) {
-	var g GrantResponse
-	status, _, err := PostJSON(c.hc, c.base+"/renew", nil, RenewRequest{Name: name, Token: token, TTLMillis: ttlMillis}, &g, nil)
-	return g, status, err
-}
-
-// Release frees a lease.
-func (c *Client) Release(name int, token uint64) (int, error) {
-	status, _, err := PostJSON(c.hc, c.base+"/release", nil, ReleaseRequest{Name: name, Token: token}, nil, nil)
-	return status, err
-}
-
-// Stats fetches the service statistics.
-func (c *Client) Stats() (StatsResponse, error) {
-	var s StatsResponse
-	status, err := GetJSON(c.hc, c.base+"/stats", &s)
-	if err == nil && status/100 != 2 {
-		err = fmt.Errorf("server: stats returned status %d", status)
-	}
-	return s, err
-}
-
 // LoadConfig parameterizes one closed-loop load run against a lease service.
 type LoadConfig struct {
-	// BaseURL is the service address, e.g. "http://127.0.0.1:8080".
-	BaseURL string
-	// API, when non-nil, overrides BaseURL with an explicit client — the way
-	// a run is pointed at the wire protocol (or any future transport).
+	// API is the client the run drives: a Client over HTTP or a WireClient
+	// over the binary protocol.
 	API LeaseAPI
 	// Batch, when > 0, switches the clients to batch rounds of that size:
 	// one AcquireN per round, one bulk renew covering the whole set, then a
@@ -110,9 +44,6 @@ type LoadConfig struct {
 	RenewPercent int
 	// Seed is the base seed for the per-client generators.
 	Seed uint64
-	// HTTPClient overrides the shared HTTP client; nil selects NewClient's
-	// default loopback transport.
-	HTTPClient *http.Client
 	// ReclaimSlack pads the expiry-verification wait beyond the contractual
 	// deadline + 2 expirer ticks, absorbing HTTP and scheduler latency.
 	// Zero selects 500ms.
@@ -120,8 +51,8 @@ type LoadConfig struct {
 }
 
 func (c LoadConfig) withDefaults() (LoadConfig, error) {
-	if c.BaseURL == "" && c.API == nil {
-		return c, fmt.Errorf("loadgen: BaseURL or API must be set")
+	if c.API == nil {
+		return c, fmt.Errorf("loadgen: API must be set")
 	}
 	if c.Batch < 0 || c.Batch > wire.MaxBatch {
 		return c, fmt.Errorf("loadgen: batch size %d outside 0..%d", c.Batch, wire.MaxBatch)
@@ -215,10 +146,7 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	if err != nil {
 		return LoadReport{}, err
 	}
-	var client LeaseAPI = cfg.API
-	if client == nil {
-		client = NewClient(cfg.BaseURL, cfg.HTTPClient)
-	}
+	client := cfg.API
 	var wireBase wire.Counters
 	counted, hasCounters := client.(wireCounted)
 	if hasCounters {

@@ -3,7 +3,9 @@
 // sessions, one HTTP/JSON codec (NewMux) and one binary wire codec
 // (WireBackend) over it, and one error table mapping every failure to an
 // HTTP status, a JSON code and a wire.Code. Two backends implement Service:
-// the manager-backed standalone service here, and the cluster node.
+// the manager-backed standalone service here, and the cluster node. The
+// client side mirrors the codecs: Client speaks HTTP and WireClient the
+// binary protocol, so this package alone knows how a request is spelled.
 //
 // Endpoints (all JSON):
 //

@@ -242,7 +242,7 @@ func TestLoadgenLoopbackSmoke(t *testing.T) {
 	defer mgr.Close()
 
 	report, err := RunLoad(LoadConfig{
-		BaseURL:      srv.URL,
+		API:          NewClient(srv.URL, nil),
 		Clients:      8,
 		Acquires:     acquires,
 		TTL:          300 * time.Millisecond,
@@ -278,7 +278,7 @@ func TestLoadgenLoopbackSmoke(t *testing.T) {
 func TestLoadThroughputCountsOnlyTheWindow(t *testing.T) {
 	srv, _ := newTestService(t, 64, 10*time.Millisecond)
 	report, err := RunLoad(LoadConfig{
-		BaseURL:      srv.URL,
+		API:          NewClient(srv.URL, nil),
 		Clients:      2,
 		Acquires:     20,
 		TTL:          time.Second,
@@ -438,7 +438,7 @@ func TestLoadgenDetectsViolations(t *testing.T) {
 			srv := httptest.NewServer((&brokenService{fault: tc.fault, held: make(map[int]brokenLease)}).handler())
 			defer srv.Close()
 			report, err := RunLoad(LoadConfig{
-				BaseURL:      srv.URL,
+				API:          NewClient(srv.URL, nil),
 				Clients:      4,
 				Acquires:     64,
 				TTL:          300 * time.Millisecond,

@@ -51,10 +51,6 @@ const (
 	// PhaseFlush is the response write and its flush (syscall write) on the
 	// wire server.
 	PhaseFlush
-	// PhaseRoute is a routed cluster client's per-hop round-trip time.
-	PhaseRoute
-	// PhaseBackoff is a routed cluster client's retry backoff sleep.
-	PhaseBackoff
 
 	// NumPhases bounds the enum; keep it last.
 	NumPhases
@@ -64,7 +60,7 @@ const (
 // SpanJSON.Phases and the column headings of `lactl trace`.
 var phaseNames = [NumPhases]string{
 	"queue", "lock-wait", "lease-table", "wal-append", "fsync-wait",
-	"wire-encode", "flush", "route", "backoff",
+	"wire-encode", "flush",
 }
 
 // String returns the phase's wire name.
@@ -369,10 +365,6 @@ func (o *Op) PhaseSince(p Phase, mark time.Duration) time.Duration {
 	o.Phase(p, now-mark)
 	return now
 }
-
-// Traced reports whether the op carries a live span — the wire client uses
-// it to decide whether to set the frame's trace flag.
-func (o *Op) Traced() bool { return o != nil }
 
 // Finish seals the span with the operation's outcome and records it: into
 // the slow ring when it met the threshold, and into the main ring when the

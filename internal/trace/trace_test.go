@@ -37,7 +37,7 @@ func TestNilSafety(t *testing.T) {
 	sp.SetNode(1, 2)
 	sp.SetEpoch(3)
 	sp.Phase(PhaseFsyncWait, time.Millisecond)
-	if sp.Traced() || sp.RID() != "" {
+	if sp.RID() != "" {
 		t.Fatal("nil op traced")
 	}
 	if m := sp.PhaseSince(PhaseFlush, sp.Mark()); m != 0 {
