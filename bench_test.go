@@ -889,9 +889,21 @@ func startWireService(b *testing.B) (addr string, done func()) {
 // startWireServiceTraced is startWireService with a flight recorder installed
 // on the wire server (nil = untraced), for the trace-overhead A/B benchmark.
 func startWireServiceTraced(b *testing.B, rec *trace.Recorder) (addr string, done func()) {
-	b.Helper()
+	return serveWire(b, wireServiceManager(nil), rec)
+}
+
+// wireServiceManager is the wire service benchmarks' lease manager over a
+// 4-shard array, journaling to journal when it is non-nil.
+func wireServiceManager(journal lease.Journal) *lease.Manager {
 	arr := shard.MustNew(shard.Config{Shards: 4, Capacity: 4096, Seed: 71})
-	mgr := lease.MustNewManager(arr, lease.Config{TickInterval: 100 * time.Millisecond})
+	return lease.MustNewManager(arr, lease.Config{TickInterval: 100 * time.Millisecond, Journal: journal})
+}
+
+// serveWire starts mgr and serves it over the wire codec on a loopback
+// listener, with rec installed on the wire server (nil = untraced). done
+// closes the server and the manager.
+func serveWire(b *testing.B, mgr *lease.Manager, rec *trace.Recorder) (addr string, done func()) {
+	b.Helper()
 	mgr.Start()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -907,6 +919,39 @@ func startWireServiceTraced(b *testing.B, rec *trace.Recorder) (addr string, don
 	}
 }
 
+// wireSessions times b.N acquire+release sessions, two binary frames each,
+// over one pooled connection to addr shared by the given number of
+// goroutines.
+func wireSessions(b *testing.B, addr string, goroutines int) {
+	wc := wire.NewClient(addr, nil)
+	defer wc.Close()
+	client := server.NewWireClient(wc)
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for w := 0; w < goroutines; w++ {
+		iters := b.N / goroutines
+		if w < b.N%goroutines {
+			iters++
+		}
+		wg.Add(1)
+		go func(iters int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				l, status, _, err := client.Acquire(60_000)
+				if err != nil || status != 200 {
+					b.Errorf("acquire: status %d err %v", status, err)
+					return
+				}
+				if status, err := client.Release(l.Name, l.Token); err != nil || status != 200 {
+					b.Errorf("release: status %d err %v", status, err)
+					return
+				}
+			}
+		}(iters)
+	}
+	wg.Wait()
+}
+
 // BenchmarkWireServiceLoopback is the wire-protocol counterpart of
 // BenchmarkLeaseServiceLoopback: one acquire+release session as two binary
 // frames over a single pooled connection, with g concurrent clients sharing
@@ -915,37 +960,35 @@ func startWireServiceTraced(b *testing.B, rec *trace.Recorder) (addr string, don
 // exists to close.
 func BenchmarkWireServiceLoopback(b *testing.B) {
 	for _, goroutines := range []int{1, 8} {
-		goroutines := goroutines
 		b.Run(fmt.Sprintf("g=%d", goroutines), func(b *testing.B) {
 			addr, done := startWireService(b)
 			defer done()
-			wc := wire.NewClient(addr, nil)
-			defer wc.Close()
-			client := server.NewWireClient(wc)
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for w := 0; w < goroutines; w++ {
-				iters := b.N / goroutines
-				if w < b.N%goroutines {
-					iters++
-				}
-				wg.Add(1)
-				go func(iters int) {
-					defer wg.Done()
-					for i := 0; i < iters; i++ {
-						l, status, _, err := client.Acquire(60_000)
-						if err != nil || status != 200 {
-							b.Errorf("acquire: status %d err %v", status, err)
-							return
-						}
-						if status, err := client.Release(l.Name, l.Token); err != nil || status != 200 {
-							b.Errorf("release: status %d err %v", status, err)
-							return
-						}
-					}
-				}(iters)
+			wireSessions(b, addr, goroutines)
+		})
+	}
+}
+
+// BenchmarkWireServiceDurable is the durable wire rung, between
+// BenchmarkLeaseWAL and the service workloads: BenchmarkWireServiceLoopback's
+// session over a manager journaling to a wal.Store in b.TempDir() under
+// SyncAlways (TMPDIR=/dev/shm keeps it off the host disk). The wire server
+// answers each read batch after one WAL write and one fsync, so at g=8 the
+// pipelined frames share them, reported as appends/fsync. The fsync cost
+// follows the host's storage, so the rung is not in baseline.json.
+func BenchmarkWireServiceDurable(b *testing.B) {
+	for _, goroutines := range []int{1, 8} {
+		b.Run(fmt.Sprintf("g=%d", goroutines), func(b *testing.B) {
+			store, err := wal.Open(b.TempDir(), wal.SyncAlways, 0)
+			if err != nil {
+				b.Fatalf("wal.Open: %v", err)
 			}
-			wg.Wait()
+			defer store.Close()
+			addr, done := serveWire(b, wireServiceManager(store), nil)
+			defer done()
+			wireSessions(b, addr, goroutines)
+			if c := store.Counters(); c.Syncs > 0 {
+				b.ReportMetric(float64(c.Appends)/float64(c.Syncs), "appends/fsync")
+			}
 		})
 	}
 }
@@ -970,33 +1013,7 @@ func BenchmarkWireServiceTraceAB(b *testing.B) {
 		b.Run("trace="+mode, func(b *testing.B) {
 			addr, done := startWireServiceTraced(b, rec)
 			defer done()
-			wc := wire.NewClient(addr, nil)
-			defer wc.Close()
-			client := server.NewWireClient(wc)
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for w := 0; w < goroutines; w++ {
-				iters := b.N / goroutines
-				if w < b.N%goroutines {
-					iters++
-				}
-				wg.Add(1)
-				go func(iters int) {
-					defer wg.Done()
-					for i := 0; i < iters; i++ {
-						l, status, _, err := client.Acquire(60_000)
-						if err != nil || status != 200 {
-							b.Errorf("acquire: status %d err %v", status, err)
-							return
-						}
-						if status, err := client.Release(l.Name, l.Token); err != nil || status != 200 {
-							b.Errorf("release: status %d err %v", status, err)
-							return
-						}
-					}
-				}(iters)
-			}
-			wg.Wait()
+			wireSessions(b, addr, goroutines)
 		})
 	}
 }

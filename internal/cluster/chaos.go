@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"maps"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -139,13 +140,15 @@ type ChaosReport struct {
 	RestartedNodes  []int `json:"restarted_nodes,omitempty"`
 	RestartFailures int   `json:"restart_failures"`
 	// RestartPreempts counts kills resolved by the victim restarting before
-	// any failover: the epoch never moved and the victim resumed its recorded
-	// partitions from its journal. A legitimate outcome in restart mode (the
-	// survivors may lack quorum, or the restart simply won the race); without
+	// any failover: no table moved its partitions and the victim resumed them
+	// from its journal. A legitimate outcome in restart mode (the survivors
+	// may lack quorum, or the restart simply won the race); without
 	// RestartAfter the same silence is a FailoverTimeout.
-	RestartPreempts int    `json:"restart_preempts,omitempty"`
-	EpochBumps      int    `json:"epoch_bumps"`
-	FinalEpoch      uint64 `json:"final_epoch"`
+	RestartPreempts int `json:"restart_preempts,omitempty"`
+	// EpochBumps counts kills resolved by a failover: a newer table moved
+	// the victim's partitions to other members.
+	EpochBumps int    `json:"epoch_bumps"`
+	FinalEpoch uint64 `json:"final_epoch"`
 
 	// Membership accounting (GrowTo / DrainOne runs).
 	Joins        int   `json:"joins,omitempty"`
@@ -334,22 +337,45 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 		reportMu  sync.Mutex // guards report's failover fields written by the killer
 	)
 
-	// awaitFailover waits for a kill to resolve: the survivors bump the epoch
-	// past before, or — in restart mode — the victim returns first and
-	// resumes its recorded partitions under the unchanged epoch (the
-	// survivors may lack quorum to fail over at all, and the victim's journal
-	// makes the resume safe). Returns (bumped, resumed).
-	awaitFailover := func(local *Local, before uint64, victim int, restartMode bool, timeout time.Duration) (bool, bool) {
+	// awaitFailover waits for a kill to resolve and says how. The survivors
+	// fail the victim over: a table past before assigns the victim's
+	// partitions (parts) elsewhere, and moved lists the ones that went (a
+	// victim owning none fails over with any bump). Or, in restart mode, the
+	// victim returns first and resumes its recorded partitions under its own
+	// table (the survivors may lack quorum to fail over at all, and the
+	// victim's journal makes the resume safe). A return does not settle the
+	// race at once: a failover the steward decided just before it still
+	// lands, so the victim must keep every partition for settle before the
+	// kill counts as resumed. A bump that leaves the victim's partitions in
+	// place (another member's rejoin) resolves nothing.
+	awaitFailover := func(local *Local, before uint64, victim int, parts []int, restartMode bool, settle, timeout time.Duration) (moved []int, bumped, resumed bool) {
 		deadline := time.Now().Add(timeout)
+		var settleBy time.Time
 		for {
-			if local.MaxEpoch() > before {
-				return true, false
+			if t := local.maxEpochTable(); t.Epoch > before {
+				if len(parts) == 0 {
+					return nil, true, false
+				}
+				owned := t.PartitionsOf(victim)
+				for _, p := range parts {
+					if !slices.Contains(owned, p) {
+						moved = append(moved, p)
+					}
+				}
+				if len(moved) > 0 {
+					return moved, true, false
+				}
 			}
+			now := time.Now()
 			if restartMode && local.Node(victim) != nil {
-				return false, true
+				if settleBy.IsZero() {
+					settleBy = now.Add(settle)
+				} else if now.After(settleBy) {
+					return nil, false, true
+				}
 			}
-			if time.Now().After(deadline) {
-				return false, false
+			if now.After(deadline) {
+				return nil, false, false
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
@@ -405,6 +431,7 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 					continue
 				}
 				victimParts := node.Table().PartitionsOf(victim)
+				settle := 2 * node.cfg.ProbeInterval
 				before := cfg.Local.MaxEpoch()
 				cfg.Logf("chaos: killing node %d (epoch %d, %d alive, partitions %v)", victim, before, len(alive), victimParts)
 				lp.Dying(victim)
@@ -439,7 +466,7 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 						reportMu.Unlock()
 					}(victim)
 				}
-				bumped, resumed := awaitFailover(cfg.Local, before, victim, cfg.RestartAfter > 0, 30*time.Second)
+				moved, bumped, resumed := awaitFailover(cfg.Local, before, victim, victimParts, cfg.RestartAfter > 0, settle, 30*time.Second)
 				bumpAt := time.Now()
 				reportMu.Lock()
 				report.Kills++
@@ -459,7 +486,17 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 				for _, p := range victimParts {
 					adopted[p] = true
 				}
-				lp.Orphan(victim, victimParts, bumpAt)
+				switch {
+				case resumed:
+					// No lease died: the victim replayed its journal under
+					// its own table, so a renew in flight across the kill
+					// may land on it and extend a live lease.
+					lp.Resumed(victim)
+				case bumped:
+					lp.Orphan(victim, moved, bumpAt)
+				default:
+					lp.Orphan(victim, victimParts, bumpAt)
+				}
 				if !fired {
 					fired = true
 					close(firstKill)

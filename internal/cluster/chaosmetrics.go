@@ -57,7 +57,7 @@ type metricsWatcher struct {
 	missing map[string]bool
 	// last holds each member's previous counter values, keyed by series
 	// (name plus label set): counters may never decrease on a live member.
-	last     map[string]map[string]float64
+	last     map[string]map[string]counterBaseline
 	monoViol uint64
 	// maxQuarantines is the highest cluster-wide la_cluster_quarantines_total
 	// sum any sweep observed.
@@ -93,7 +93,7 @@ func startMetricsWatcher(targets []string, logf func(string, ...any)) *metricsWa
 		hc:         &http.Client{Timeout: 2 * time.Second},
 		logf:       logf,
 		missing:    make(map[string]bool),
-		last:       make(map[string]map[string]float64),
+		last:       make(map[string]map[string]counterBaseline),
 		watchParts: make(map[int]bool),
 		restarted:  make(map[string]bool),
 		emptied:    make(map[string]bool),
@@ -211,17 +211,26 @@ func (w *metricsWatcher) checkFamilies(target string, samples []metrics.Sample) 
 	}
 }
 
+// counterBaseline is a counter series' value at the member's previous
+// scrape, and whether the series carries a partition label.
+type counterBaseline struct {
+	value       float64
+	partitioned bool
+}
+
 // checkMonotonic verifies no counter series went backward since the member's
 // previous scrape. Counters are identified by exposition convention: _total
-// families plus histogram _count/_sum series. Per-partition counters live
-// and die with ownership: a partition that migrates away takes its series
-// with it, and a later migration back starts a fresh manager at zero — so
-// baselines for partition series absent from this scrape are dropped rather
-// than held against the member.
+// families plus histogram _count/_sum series. Per-partition counters (every
+// series with a partition label: the la_partition_* lease counters and the
+// la_wal_* journal counters alike) live and die with ownership: a partition
+// that moves away takes its series with it, and one that comes back starts
+// a fresh manager and a reopened store at zero — so baselines for partition
+// series absent from this scrape are dropped rather than held against the
+// member. A partition series present in both scrapes must not drop.
 func (w *metricsWatcher) checkMonotonic(target string, samples []metrics.Sample) {
 	prev := w.last[target]
 	if prev == nil {
-		prev = make(map[string]float64)
+		prev = make(map[string]counterBaseline)
 		w.last[target] = prev
 	}
 	seen := make(map[string]bool, len(samples))
@@ -233,16 +242,16 @@ func (w *metricsWatcher) checkMonotonic(target string, samples []metrics.Sample)
 		}
 		key := seriesKey(sm)
 		seen[key] = true
-		if old, ok := prev[key]; ok && sm.Value < old {
+		if old, ok := prev[key]; ok && sm.Value < old.value {
 			w.monoViol++
 			if w.logf != nil {
-				w.logf("chaos: %s: counter %s went backward (%.0f -> %.0f)", target, key, old, sm.Value)
+				w.logf("chaos: %s: counter %s went backward (%.0f -> %.0f)", target, key, old.value, sm.Value)
 			}
 		}
-		prev[key] = sm.Value
+		prev[key] = counterBaseline{value: sm.Value, partitioned: sm.Label("partition") != ""}
 	}
-	for key := range prev {
-		if !seen[key] && strings.HasPrefix(key, "la_partition_") {
+	for key, b := range prev {
+		if !seen[key] && b.partitioned {
 			delete(prev, key)
 		}
 	}
@@ -310,6 +319,15 @@ func (w *metricsWatcher) finalize(report *ChaosReport) {
 	}
 	w.stopOnce.Do(func() { close(w.stop) })
 	<-w.done
+	// One more sweep: a kill the killer resolved after the loop's last sweep
+	// (its last one, say, just before the run ends) must still be seen to
+	// reappear.
+	w.mu.Lock()
+	enabled := !w.disabled && w.scrapes > 0
+	w.mu.Unlock()
+	if enabled {
+		w.sweep()
+	}
 
 	w.mu.Lock()
 	report.MetricsScrapes = w.scrapes

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/levelarray/levelarray/internal/lease"
+	"github.com/levelarray/levelarray/internal/metrics"
 	"github.com/levelarray/levelarray/internal/server"
 )
 
@@ -175,5 +176,61 @@ func TestCheckOccupancy(t *testing.T) {
 	srv.Close()
 	if msg, err := CheckOccupancy(hc, srv.URL); err == nil || msg != "" {
 		t.Fatalf("unreachable member: %q, %v; want an error and no disagreement", msg, err)
+	}
+}
+
+// TestCheckMonotonicForgetsVanishedPartitionSeries: a partition's series
+// live and die with its ownership, the WAL families as much as the lease
+// ones, so a labeled series that vanishes from a scrape and comes back at 0
+// (a reopened store) is no violation. A labeled series present in both
+// scrapes that drops still is, and so is an unlabeled counter that drops.
+func TestCheckMonotonicForgetsVanishedPartitionSeries(t *testing.T) {
+	part := func(name string, p string, v float64) metrics.Sample {
+		return metrics.Sample{Name: name, Labels: map[string]string{"partition": p}, Value: v}
+	}
+	ops := func(v float64) metrics.Sample {
+		return metrics.Sample{Name: "la_ops_total", Labels: map[string]string{"op": "acquire"}, Value: v}
+	}
+	epochBumps := func(v float64) metrics.Sample { return metrics.Sample{Name: "la_cluster_epoch_bumps_total", Value: v} }
+	cases := []struct {
+		name    string
+		scrapes [][]metrics.Sample
+		want    uint64
+	}{
+		{"wal series vanishes and returns at 0", [][]metrics.Sample{
+			{part("la_wal_appends_total", "4", 1346), part("la_wal_syncs_total", "4", 900), ops(10)},
+			{ops(12)},
+			{part("la_wal_appends_total", "4", 0), part("la_wal_syncs_total", "4", 0), ops(13)},
+		}, 0},
+		{"lease series vanishes and returns at 0", [][]metrics.Sample{
+			{part("la_partition_acquires_total", "2", 50)},
+			{},
+			{part("la_partition_acquires_total", "2", 0)},
+		}, 0},
+		{"wal series stays present and drops", [][]metrics.Sample{
+			{part("la_wal_appends_total", "4", 1346)},
+			{part("la_wal_appends_total", "4", 0)},
+		}, 1},
+		{"unlabeled counter drops", [][]metrics.Sample{
+			{epochBumps(3)},
+			{},
+			{epochBumps(1)},
+		}, 1},
+		{"counter with other labels drops", [][]metrics.Sample{
+			{ops(10)},
+			{},
+			{ops(9)},
+		}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := &metricsWatcher{last: make(map[string]map[string]counterBaseline)}
+			for _, samples := range tc.scrapes {
+				w.checkMonotonic("member", samples)
+			}
+			if w.monoViol != tc.want {
+				t.Fatalf("%d monotonicity violations, want %d", w.monoViol, tc.want)
+			}
+		})
 	}
 }

@@ -9,11 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/levelarray/levelarray/internal/lease"
 	"github.com/levelarray/levelarray/internal/server"
+	"github.com/levelarray/levelarray/internal/wire"
 )
 
 // durableLocal boots an in-process cluster with durable lease state rooted in
@@ -223,5 +225,129 @@ func TestChaosKillRestartDurable(t *testing.T) {
 	}
 	if report.OrphanEvents != report.OrphansReissued+report.OrphansFree {
 		t.Fatalf("orphan accounting: %d events, %d reissued + %d free", report.OrphanEvents, report.OrphansReissued, report.OrphansFree)
+	}
+}
+
+// TestDurableKillRestartUnderWireBatches kills and restarts a durable member
+// while pipelined wire writes to it wait on their batches' durability
+// barriers. Neither Kill nor Restart may hang on those waits, and the
+// restarted member serves the same wire client again.
+func TestDurableKillRestartUnderWireBatches(t *testing.T) {
+	l := durableLocal(t, 1, 2, 256, 30*time.Second)
+	wc := wire.NewClient(l.WireTargets()[0], &wire.ClientConfig{Conns: 2, CallTimeout: 2 * time.Second})
+	defer wc.Close()
+	client := server.NewWireClient(wc)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Errors are expected while the member is down.
+				if g, status, _, err := client.Acquire(10_000); err == nil && status == http.StatusOK {
+					_, _ = client.Release(g.Name, g.Token)
+				}
+			}
+		}()
+	}
+	within := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			fn()
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s hung with wire batch barriers in flight", what)
+		}
+	}
+
+	time.Sleep(50 * time.Millisecond)
+	within("Kill", func() { l.Kill(0) })
+	within("Restart", func() {
+		if err := l.Restart(0); err != nil {
+			t.Errorf("Restart: %v", err)
+		}
+	})
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		g, status, _, err := client.Acquire(10_000)
+		if err == nil && status == http.StatusOK {
+			if status, err := client.Release(g.Name, g.Token); err != nil || status != http.StatusOK {
+				t.Fatalf("release after restart: status %d err %v", status, err)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no wire grant within 10s of the restart (last status %d err %v)", status, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestChaosKillRestartResumed is the durable chaos run with a failure
+// detector slower than the restart: each victim returns and resumes its
+// partitions from its journal before the survivors could fail it over. Its
+// leases live on, so the ledger must neither sweep them nor fence their
+// tokens, and the run stays violation-free.
+func TestChaosKillRestartResumed(t *testing.T) {
+	l, err := StartLocal(LocalConfig{
+		Nodes:      3,
+		Partitions: 4,
+		Capacity:   128,
+		Seed:       7,
+		DataDir:    t.TempDir(),
+		Node: NodeConfig{
+			Lease:         lease.Config{TickInterval: 20 * time.Millisecond},
+			DefaultTTL:    300 * time.Millisecond,
+			MaxTTL:        300 * time.Millisecond,
+			ProbeInterval: 25 * time.Millisecond,
+			DownAfter:     40, // a second of silence: far past each restart
+			Logf:          t.Logf,
+		},
+	})
+	if err != nil {
+		t.Fatalf("StartLocal: %v", err)
+	}
+	t.Cleanup(l.Close)
+	report, err := RunChaos(ChaosConfig{
+		Local:        l,
+		Clients:      8,
+		Acquires:     3000,
+		TTL:          300 * time.Millisecond,
+		HoldMean:     time.Millisecond,
+		CrashPercent: 10,
+		RenewPercent: 20,
+		Seed:         19,
+		KillEvery:    300 * time.Millisecond,
+		MinAlive:     2,
+		RestartAfter: 100 * time.Millisecond,
+		ReclaimSlack: 400 * time.Millisecond,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("RunChaos: %v", err)
+	}
+	if v := report.Violations(); v != nil {
+		t.Fatalf("resumed-kill chaos violations: %v\nreport: %+v", v, report)
+	}
+	if report.RestartPreempts == 0 || report.EpochBumps != 0 {
+		t.Fatalf("kills %d: %d resumed, %d failed over; want every kill resumed", report.Kills, report.RestartPreempts, report.EpochBumps)
+	}
+	if report.OrphanEvents != 0 {
+		t.Fatalf("%d leases orphaned by kills that ended none", report.OrphanEvents)
 	}
 }

@@ -5,7 +5,9 @@ package cluster
 // serve a standalone manager. Every op runs under the table read lock and
 // returns before anything is written, so a slow-reading client can never
 // hold the lock against an Adopt (whose write lock would then stall every
-// other request on the node).
+// other request on the node). A single-lease write of a wire batch also
+// returns before its journal fsync: the codec waits on the batch's barrier
+// once the lock is released.
 
 import (
 	"errors"
@@ -138,7 +140,7 @@ func (n *Node) acquire(c server.Call, want int, ttlMillis int64, dst []server.Gr
 		if want == 1 {
 			c.Span.SetNode(n.cfg.NodeID, part.id)
 			var l lease.Lease
-			if l, err = part.mgr.AcquireSpan(ttl, c.Span); err == nil {
+			if l, err = part.mgr.AcquireSpan(ttl, c.Span, c.Barrier); err == nil {
 				dst = append(dst, n.grantLocked(part, l))
 			}
 		} else {
@@ -193,7 +195,7 @@ func (n *Node) Renew(c server.Call, name int, token uint64, ttlMillis int64) (se
 		return server.Grant{}, err
 	}
 	c.Span.SetNode(n.cfg.NodeID, part.id)
-	l, err := part.mgr.RenewSpan(local, token, n.ttl(ttlMillis), c.Span)
+	l, err := part.mgr.RenewSpan(local, token, n.ttl(ttlMillis), c.Span, c.Barrier)
 	if err != nil {
 		return server.Grant{}, err
 	}
@@ -212,7 +214,7 @@ func (n *Node) Release(c server.Call, name int, token uint64) error {
 		return err
 	}
 	c.Span.SetNode(n.cfg.NodeID, part.id)
-	return part.mgr.ReleaseSpan(local, token, c.Span)
+	return part.mgr.ReleaseSpan(local, token, c.Span, c.Barrier)
 }
 
 // ReleaseN implements server.Service: every ref under one table lock.

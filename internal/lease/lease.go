@@ -197,6 +197,7 @@ type Manager struct {
 	// Checkpoint holds it for write while it records the log cut and captures
 	// the session table, so cut and capture form one consistent point.
 	journal   Journal
+	queued    queuedJournal // journal, when it can queue records for a Barrier
 	journalMu sync.RWMutex
 	restored  atomic.Uint64
 
@@ -249,6 +250,7 @@ func NewManager(arr activity.Array, cfg Config) (*Manager, error) {
 	}
 	m.tokenSeq.Store(cfg.TokenSeqBase)
 	m.journal = cfg.Journal
+	m.queued, _ = cfg.Journal.(queuedJournal)
 	return m, nil
 }
 
@@ -423,15 +425,17 @@ func (m *Manager) mintToken(h activity.Handle) uint64 {
 // unchanged when registration fails — activity.ErrFull means every slot is
 // leased or awaiting expiry.
 func (m *Manager) Acquire(ttl time.Duration) (Lease, error) {
-	return m.AcquireSpan(ttl, nil)
+	return m.AcquireSpan(ttl, nil, nil)
 }
 
-// AcquireSpan is Acquire with flight-recorder phase attribution: the array
-// probe is charged to lease-table, the entry-lock (plus checkpoint-barrier)
-// wait to lock-wait, and — through the journal — the WAL write and group
-// fsync to wal-append and fsync-wait. A nil span records nothing and costs
-// only nil checks.
-func (m *Manager) AcquireSpan(ttl time.Duration, sp *trace.Op) (Lease, error) {
+// AcquireSpan is Acquire with flight-recorder phase attribution and an
+// optional deferred durability wait. The array probe is charged to
+// lease-table, the entry-lock (plus checkpoint-barrier) wait to lock-wait,
+// and — through the journal — the WAL write and group fsync to wal-append
+// and fsync-wait. A nil span records nothing and costs only nil checks.
+// With a non-nil b the grant's record is only queued (see Barrier): the
+// caller must not hand the token out before b.Wait returns nil.
+func (m *Manager) AcquireSpan(ttl time.Duration, sp *trace.Op, b *Barrier) (Lease, error) {
 	if m.closed.Load() {
 		return Lease{}, ErrClosed
 	}
@@ -469,9 +473,10 @@ func (m *Manager) AcquireSpan(ttl time.Duration, sp *trace.Op) (Lease, error) {
 	e.handle = h
 	if m.journal != nil {
 		// Durable-before-ack: the grant is journaled (and, under SyncAlways,
-		// fsynced) before the token leaves this function. A failed append
-		// rolls the grant back so memory and log stay in agreement.
-		if err := m.journalAppend(sp, wal.OpAcquire, uint32(name), token, deadline); err != nil {
+		// fsynced) before the token leaves this function, or with b before
+		// b.Wait returns, which the caller awaits before answering. A failed
+		// append rolls the grant back so memory and log stay in agreement.
+		if err := m.journalWrite(sp, b, wal.OpAcquire, uint32(name), token, deadline); err != nil {
 			e.active = false
 			e.wheelTick = 0
 			e.handle = nil
@@ -497,11 +502,12 @@ func (m *Manager) AcquireSpan(ttl time.Duration, sp *trace.Op) (Lease, error) {
 // Renew extends (or shortens, or makes infinite) the lease on name, fenced
 // by token. A stale token is counted as a renew race and rejected.
 func (m *Manager) Renew(name int, token uint64, ttl time.Duration) (Lease, error) {
-	return m.RenewSpan(name, token, ttl, nil)
+	return m.RenewSpan(name, token, ttl, nil, nil)
 }
 
-// RenewSpan is Renew with flight-recorder phase attribution (see AcquireSpan).
-func (m *Manager) RenewSpan(name int, token uint64, ttl time.Duration, sp *trace.Op) (Lease, error) {
+// RenewSpan is Renew with flight-recorder phase attribution and an optional
+// deferred durability wait (see AcquireSpan).
+func (m *Manager) RenewSpan(name int, token uint64, ttl time.Duration, sp *trace.Op, b *Barrier) (Lease, error) {
 	if m.closed.Load() {
 		return Lease{}, ErrClosed
 	}
@@ -544,7 +550,7 @@ func (m *Manager) RenewSpan(name int, token uint64, ttl time.Duration, sp *trace
 		// Durable-before-ack, same as Acquire: an extension the client may
 		// act on must survive a crash, or replay would expire the lease
 		// earlier than the deadline this call stated.
-		if err := m.journalAppend(sp, wal.OpRenew, uint32(name), token, deadline); err != nil {
+		if err := m.journalWrite(sp, b, wal.OpRenew, uint32(name), token, deadline); err != nil {
 			e.deadline, e.wheelTick = oldDeadline, oldWheelTick
 			e.mu.Unlock()
 			m.journalRUnlock()
@@ -564,12 +570,14 @@ func (m *Manager) RenewSpan(name int, token uint64, ttl time.Duration, sp *trace
 // release race and rejected, so a double release (or a release racing a
 // reissue) can never free another holder's slot.
 func (m *Manager) Release(name int, token uint64) error {
-	return m.ReleaseSpan(name, token, nil)
+	return m.ReleaseSpan(name, token, nil, nil)
 }
 
-// ReleaseSpan is Release with flight-recorder phase attribution (see
-// AcquireSpan).
-func (m *Manager) ReleaseSpan(name int, token uint64, sp *trace.Op) error {
+// ReleaseSpan is Release with flight-recorder phase attribution and an
+// optional deferred durability wait (see AcquireSpan). A deferred release
+// frees the name at once; whoever is granted it next queues the grant after
+// the release, so the grant's own wait covers the release record.
+func (m *Manager) ReleaseSpan(name int, token uint64, sp *trace.Op, b *Barrier) error {
 	if m.closed.Load() {
 		return ErrClosed
 	}
@@ -595,7 +603,7 @@ func (m *Manager) ReleaseSpan(name int, token uint64, sp *trace.Op) error {
 		// client can retry) rather than freed-in-memory but held-on-replay.
 		// The reverse loss — record durable, crash before the in-memory free
 		// — is invisible: the process died with it.
-		if err := m.journalAppend(sp, wal.OpRelease, uint32(name), token, 0); err != nil {
+		if err := m.journalWrite(sp, b, wal.OpRelease, uint32(name), token, 0); err != nil {
 			e.mu.Unlock()
 			m.journalRUnlock()
 			return fmt.Errorf("lease: journal release: %w", err)
@@ -619,6 +627,20 @@ func (m *Manager) ReleaseSpan(name int, token uint64, sp *trace.Op) error {
 // Journal implementations (including test doubles) are used untraced.
 type tracedJournal interface {
 	AppendTraced(sp *trace.Op, op wal.Op, name uint32, token uint64, deadline int64) error
+}
+
+// journalWrite journals one transition of a single-lease op: queued on b
+// when the caller defers the durability wait and the journal can queue,
+// else appended and waited for here.
+func (m *Manager) journalWrite(sp *trace.Op, b *Barrier, op wal.Op, name uint32, token uint64, deadline int64) error {
+	if b == nil || m.queued == nil {
+		return m.journalAppend(sp, op, name, token, deadline)
+	}
+	ticket, err := m.queued.Enqueue(sp, op, name, token, deadline)
+	if err == nil {
+		b.add(m.queued, ticket)
+	}
+	return err
 }
 
 // journalAppend routes one record through the traced append when a span is

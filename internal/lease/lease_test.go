@@ -562,7 +562,7 @@ func TestLockWaitPhase(t *testing.T) {
 	m, _ := newTestManager(t, 8)
 	rec := trace.New(trace.Config{Enabled: true, SlowThreshold: time.Hour})
 	sp := rec.Begin("acquire", "free")
-	l, err := m.AcquireSpan(0, sp)
+	l, err := m.AcquireSpan(0, sp, nil)
 	if err != nil {
 		t.Fatalf("AcquireSpan: %v", err)
 	}
@@ -576,7 +576,7 @@ func TestLockWaitPhase(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		close(calling)
-		done <- m.ReleaseSpan(l.Name, l.Token, sp)
+		done <- m.ReleaseSpan(l.Name, l.Token, sp, nil)
 	}()
 	<-calling
 	time.Sleep(hold)

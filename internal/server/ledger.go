@@ -140,6 +140,9 @@ const (
 	killed                 // the lease died with its node
 )
 
+// killSpan is one kill, from the moment the node died to its resolution.
+type killSpan struct{ from, to time.Time }
+
 // probe is one dead token, to be fenced from at on.
 type probe struct {
 	session
@@ -158,11 +161,14 @@ type Ledger struct {
 	lastToken map[int]uint64
 	excused   map[session]fate
 	// killed holds the nodes whose kill has failed over and been swept;
-	// dying the nodes killed before that: a client can reach an adopter,
-	// and have a dead lease rejected, before the sweep runs, so those
-	// sessions may fail already, while their held records wait for it.
-	killed map[int]bool
-	dying  map[int]bool
+	// dying the nodes killed before that, with when the kill began: a
+	// client can reach an adopter, and have a dead lease rejected, before
+	// the sweep runs, so those sessions may fail already, while their held
+	// records wait for it. resumed holds the span of each node's last kill
+	// that its own restart resolved (see Resumed).
+	killed  map[int]bool
+	dying   map[int]time.Time
+	resumed map[int]killSpan
 	// queue holds the dead tokens awaiting their fencing probe: at most one
 	// per abandoned or orphaned lease, so it never needs to drop one.
 	queue       []probe
@@ -189,7 +195,8 @@ func newLedger(ttl, reclaim time.Duration) *Ledger {
 		lastToken: make(map[int]uint64),
 		excused:   make(map[session]fate),
 		killed:    make(map[int]bool),
-		dying:     make(map[int]bool),
+		dying:     make(map[int]time.Time),
+		resumed:   make(map[int]killSpan),
 	}
 	l.queued = sync.NewCond(&l.mu)
 	return l
@@ -311,11 +318,13 @@ func (l *Ledger) beginRelease(s session) (heldLease, bool) {
 	return h, true
 }
 
-// excuse explains a rejected or failed renew or release of s, counting the
-// explanation: true when the lease had died with its node or lapsed under
-// its holder, false when nothing explains it, a violation the caller
-// counts. taken is the record beginRelease removed, when it did.
-func (l *Ledger) excuse(s session, taken *heldLease, now time.Time) bool {
+// excuse explains a rejected or failed renew or release of s, sent at sent
+// and answered at now, counting the explanation: true when the lease had
+// died with its node, the operation was in flight across a kill of its
+// node, or the lease lapsed under its holder; false when nothing explains
+// it, a violation the caller counts. taken is the record beginRelease
+// removed, when it did.
+func (l *Ledger) excuse(s session, taken *heldLease, sent, now time.Time) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	switch l.excused[s] {
@@ -331,6 +340,8 @@ func (l *Ledger) excuse(s session, taken *heldLease, now time.Time) bool {
 	} else if !ok || h.token != s.token {
 		return false
 	}
+	_, dying := l.dying[h.node]
+	resumed := l.resumed[h.node]
 	switch {
 	case l.killed[h.node]:
 		if taken == nil {
@@ -338,8 +349,14 @@ func (l *Ledger) excuse(s session, taken *heldLease, now time.Time) bool {
 		}
 		l.killedSessions.Add(1)
 		return true
-	case l.dying[h.node]:
+	case dying:
 		l.killedSessions.Add(1) // the kill sweep turns the record into an orphan
+		return true
+	case sent.Before(resumed.to) && now.After(resumed.from):
+		// The node may have applied the first attempt before it died, and
+		// answers the client's retry after its restart from the journal:
+		// a release already done is not leased any more.
+		l.killedSessions.Add(1)
 		return true
 	case !now.Before(h.bound):
 		if taken == nil {
@@ -357,7 +374,20 @@ func (l *Ledger) excuse(s session, taken *heldLease, now time.Time) bool {
 func (l *Ledger) Dying(victim int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.dying[victim] = true
+	l.dying[victim] = time.Now()
+}
+
+// Resumed records that victim's kill resolved without a failover: the
+// victim restarted before the survivors bumped the epoch and resumed its
+// partitions from its journal, every acknowledged lease intact. Its leases
+// stay held and no fencing probe is queued. Its sessions' rejections count
+// again, except those of an operation in flight across the kill, which the
+// victim may have applied before it died.
+func (l *Ledger) Resumed(victim int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.resumed[victim] = killSpan{from: l.dying[victim], to: time.Now()}
+	delete(l.dying, victim)
 }
 
 // Orphan ends every held lease on parts, the partitions victim owned when

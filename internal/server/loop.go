@@ -263,7 +263,7 @@ func (lp *Loop) round(gen rng.Source) error {
 		switch {
 		case err == nil && status/100 == 2:
 			lp.renewed(s, sent, r)
-		case lp.excuse(s, nil, time.Now()):
+		case lp.excuse(s, nil, sent, time.Now()):
 			return nil
 		case err != nil:
 			return fmt.Errorf("renew: %w", err)
@@ -288,14 +288,16 @@ func (lp *Loop) Release(name int, token uint64) error {
 	h, ok := lp.beginRelease(s)
 	if !ok {
 		// A kill sweep or an observed lapse took the lease from under us.
-		lp.excuse(s, nil, time.Now())
+		now := time.Now()
+		lp.excuse(s, nil, now, now)
 		return nil
 	}
+	sent := time.Now()
 	status, err := lp.cfg.Ops.Release(name, token)
 	switch {
 	case err == nil && status/100 == 2:
 		lp.releases.Add(1)
-	case lp.excuse(s, &h, time.Now()):
+	case lp.excuse(s, &h, sent, time.Now()):
 	case err != nil:
 		return fmt.Errorf("release: %w", err)
 	default:
@@ -352,7 +354,7 @@ func (lp *Loop) batchRound(n int, gen rng.Source) error {
 			s := session{ref.Name, ref.Token}
 			if whole && results[i].Status/100 == 2 {
 				lp.renewed(s, sent, GrantResponse{Name: ref.Name, Token: ref.Token, DeadlineUnixMillis: results[i].DeadlineUnixMillis})
-			} else if !lp.excuse(s, nil, time.Now()) {
+			} else if !lp.excuse(s, nil, sent, time.Now()) {
 				lp.unexpectedStale.Add(1)
 			}
 		}
@@ -369,7 +371,8 @@ func (lp *Loop) batchRound(n int, gen rng.Source) error {
 		}
 		h, ok := lp.beginRelease(s)
 		if !ok {
-			lp.excuse(s, nil, time.Now())
+			now := time.Now()
+			lp.excuse(s, nil, now, now)
 			continue
 		}
 		release = append(release, ref)
@@ -378,6 +381,7 @@ func (lp *Loop) batchRound(n int, gen rng.Source) error {
 	if len(release) == 0 {
 		return nil
 	}
+	relSent := time.Now()
 	results, status, err := lp.batch.ReleaseBatch(release, nil)
 	if err != nil {
 		return fmt.Errorf("batch release: %w", err)
@@ -386,7 +390,7 @@ func (lp *Loop) batchRound(n int, gen rng.Source) error {
 	for i, ref := range release {
 		if whole && results[i].Status/100 == 2 {
 			lp.releases.Add(1)
-		} else if !lp.excuse(session{ref.Name, ref.Token}, &taken[i], time.Now()) {
+		} else if !lp.excuse(session{ref.Name, ref.Token}, &taken[i], relSent, time.Now()) {
 			lp.lostReleases.Add(1)
 		}
 	}

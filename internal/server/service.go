@@ -53,13 +53,18 @@ type Service interface {
 }
 
 // Call is what a codec hands every write: the epoch the request was fenced
-// with (0 when it carried none) and its flight-recorder span (nil when
-// tracing is off).
+// with (0 when it carried none), its flight-recorder span (nil when tracing
+// is off) and, for a single-lease write of a wire batch, the batch's
+// durability barrier (nil: the write is durable when the call returns).
 type Call struct {
 	Epoch uint64
 	Span  *trace.Op
-	rid   string // the HTTP request's X-Request-ID
-	id    uint64 // the wire frame's request id
+	// Barrier, when non-nil, defers the write's journal wait: the service
+	// applies the write and queues its record on the barrier, and the codec
+	// answers only after Barrier.Wait returns nil.
+	Barrier *lease.Barrier
+	rid     string // the HTTP request's X-Request-ID
+	id      uint64 // the wire frame's request id
 }
 
 // RID names the request in logs and journal events, in the X-Request-ID
@@ -225,23 +230,25 @@ type opCore struct {
 func (c opCore) acquire(call Call, ttlMillis int64) (Grant, outcome) {
 	start := time.Now()
 	g, err := c.svc.Acquire(call, ttlMillis)
-	o := outcomeOf(c.svc, err)
-	c.m.observe(opAcquire, start, o, call.Span.RID())
-	return g, o
+	return g, c.finish(opAcquire, start, call, err)
 }
 
 func (c opCore) renew(call Call, name int, token uint64, ttlMillis int64) (Grant, outcome) {
 	start := time.Now()
 	g, err := c.svc.Renew(call, name, token, ttlMillis)
-	o := outcomeOf(c.svc, err)
-	c.m.observe(opRenew, start, o, call.Span.RID())
-	return g, o
+	return g, c.finish(opRenew, start, call, err)
 }
 
 func (c opCore) release(call Call, name int, token uint64) outcome {
 	start := time.Now()
-	o := outcomeOf(c.svc, c.svc.Release(call, name, token))
-	c.m.observe(opRelease, start, o, call.Span.RID())
+	return c.finish(opRelease, start, call, c.svc.Release(call, name, token))
+}
+
+// finish maps a single-lease op's final error through the error table and
+// records the op once, with its latency since start.
+func (c opCore) finish(op int, start time.Time, call Call, err error) outcome {
+	o := outcomeOf(c.svc, err)
+	c.m.observe(op, start, o, call.Span.RID())
 	return o
 }
 
@@ -261,17 +268,17 @@ func newManagerService(mgr *lease.Manager, cfg Config) *managerService {
 }
 
 func (s *managerService) Acquire(c Call, ttlMillis int64) (Grant, error) {
-	l, err := s.mgr.AcquireSpan(TTL(ttlMillis, s.defaultTTL, 0), c.Span)
+	l, err := s.mgr.AcquireSpan(TTL(ttlMillis, s.defaultTTL, 0), c.Span, c.Barrier)
 	return GrantOf(l), err
 }
 
 func (s *managerService) Renew(c Call, name int, token uint64, ttlMillis int64) (Grant, error) {
-	l, err := s.mgr.RenewSpan(name, token, TTL(ttlMillis, s.defaultTTL, 0), c.Span)
+	l, err := s.mgr.RenewSpan(name, token, TTL(ttlMillis, s.defaultTTL, 0), c.Span, c.Barrier)
 	return GrantOf(l), err
 }
 
 func (s *managerService) Release(c Call, name int, token uint64) error {
-	return s.mgr.ReleaseSpan(name, token, c.Span)
+	return s.mgr.ReleaseSpan(name, token, c.Span, c.Barrier)
 }
 
 // leaseScratch pools AcquireN's lease buffer so the batch path stays

@@ -3,8 +3,10 @@ package server
 import (
 	"encoding/json"
 	"sync"
+	"time"
 
 	"github.com/levelarray/levelarray/internal/lease"
+	"github.com/levelarray/levelarray/internal/trace"
 	"github.com/levelarray/levelarray/internal/wire"
 )
 
@@ -18,6 +20,8 @@ type WireBackend struct {
 	// node's membership plane); nil answers them 400.
 	control func(req *wire.Request, resp *wire.Response) bool
 }
+
+var _ wire.BatchBackend = (*WireBackend)(nil)
 
 // NewWireBackend builds the wire codec over the manager-backed service, with
 // the same defaults as New.
@@ -70,22 +74,10 @@ func (b *WireBackend) ServeWire(req *wire.Request, resp *wire.Response) {
 	case wire.OpPing:
 		// Status OK, empty payload.
 
-	case wire.OpAcquire:
-		g, o := b.acquire(c, req.TTLMillis)
-		if put(resp, o); o.status == wire.StatusOK {
-			resp.Grants = append(resp.Grants, wireGrant(g))
-		}
-
-	case wire.OpRenew:
-		ref := req.Items[0]
-		g, o := b.renew(c, int(ref.Name), ref.Token, req.TTLMillis)
-		if put(resp, o); o.status == wire.StatusOK {
-			resp.Grants = append(resp.Grants, wireGrant(g))
-		}
-
-	case wire.OpRelease:
-		ref := req.Items[0]
-		put(resp, b.release(c, int(ref.Name), ref.Token))
+	case wire.OpAcquire, wire.OpRenew, wire.OpRelease:
+		start := time.Now()
+		op, g, err := b.write(c, req)
+		answer(resp, op, g, b.finish(op, start, c, err))
 
 	case wire.OpAcquireN, wire.OpReleaseN, wire.OpRenewSession:
 		if b.m != nil {
@@ -116,6 +108,95 @@ func (b *WireBackend) ServeWire(req *wire.Request, resp *wire.Response) {
 	if resp.Epoch == 0 {
 		resp.Epoch = b.svc.Epoch()
 	}
+}
+
+// write runs one single-lease write frame under c and names the op it was.
+func (b *WireBackend) write(c Call, req *wire.Request) (int, Grant, error) {
+	switch req.Op {
+	case wire.OpAcquire:
+		g, err := b.svc.Acquire(c, req.TTLMillis)
+		return opAcquire, g, err
+	case wire.OpRenew:
+		ref := req.Items[0]
+		g, err := b.svc.Renew(c, int(ref.Name), ref.Token, req.TTLMillis)
+		return opRenew, g, err
+	default:
+		ref := req.Items[0]
+		return opRelease, Grant{}, b.svc.Release(c, int(ref.Name), ref.Token)
+	}
+}
+
+// answer fills a single-lease write's response: its outcome and, for an
+// acquire or renew that succeeded, the grant.
+func answer(resp *wire.Response, op int, g Grant, o outcome) {
+	if put(resp, o); o.status == wire.StatusOK && op != opRelease {
+		resp.Grants = append(resp.Grants, wireGrant(g))
+	}
+}
+
+// deferredWrite is one single-lease write of a batch, applied and awaiting
+// the batch's durability barrier.
+type deferredWrite struct {
+	resp  *wire.Response
+	c     Call
+	op    int
+	start time.Time
+	g     Grant
+	err   error
+}
+
+// batchWrites is ServeWireBatch's workspace, pooled so the batch path stays
+// allocation-free at steady state.
+type batchWrites struct {
+	bar    lease.Barrier
+	writes []deferredWrite
+}
+
+var batchWritesPool = sync.Pool{New: func() any { return &batchWrites{} }}
+
+// ServeWireBatch implements wire.BatchBackend. It serves the frames in
+// order; the single-lease writes among them (acquire, renew, release) pass
+// one lease.Barrier to the service, so each is applied and its journal
+// record queued without waiting, and the batch waits on the barrier once —
+// one WAL write and one fsync per journal it touched — before it fills any
+// of their responses. A failed wait answers every one of those writes with
+// the journal's failure, 503 closed. Each write is observed once, with its
+// final status and a latency that includes the wait, and a traced write
+// carries the wait in its fsync-wait phase. The other opcodes are served as
+// ServeWire serves them.
+func (b *WireBackend) ServeWireBatch(reqs []*wire.Request, resps []*wire.Response) {
+	bw := batchWritesPool.Get().(*batchWrites)
+	// clock is any traced write's span: its clock times the wait for all of
+	// them, and with tracing off the wait reads no clock.
+	var clock *trace.Op
+	for i, req := range reqs {
+		if req.Op != wire.OpAcquire && req.Op != wire.OpRenew && req.Op != wire.OpRelease {
+			b.ServeWire(req, resps[i])
+			continue
+		}
+		bw.writes = append(bw.writes, deferredWrite{resp: resps[i], c: Call{Epoch: req.Epoch, Span: req.Span, id: req.ID, Barrier: &bw.bar}, start: time.Now()})
+		d := &bw.writes[len(bw.writes)-1]
+		d.op, d.g, d.err = b.write(d.c, req)
+		if clock == nil {
+			clock = req.Span
+		}
+	}
+	mark := clock.Mark()
+	waitErr := bw.bar.Wait()
+	wait := clock.Mark() - mark
+	for i := range bw.writes {
+		d := &bw.writes[i]
+		if d.err == nil {
+			d.err = waitErr
+		}
+		d.c.Span.Phase(trace.PhaseFsyncWait, wait)
+		answer(d.resp, d.op, d.g, b.finish(d.op, d.start, d.c, d.err))
+		if d.resp.Epoch == 0 {
+			d.resp.Epoch = b.svc.Epoch()
+		}
+	}
+	bw.writes = bw.writes[:0]
+	batchWritesPool.Put(bw)
 }
 
 // batch serves AcquireN, ReleaseN and RenewSession, mapping each item's

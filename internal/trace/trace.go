@@ -41,10 +41,13 @@ const (
 	// PhaseLeaseTable is the array/table work: probing for a free name
 	// (acquire) or validating the handle.
 	PhaseLeaseTable
-	// PhaseWALAppend is the buffered write of the journal record.
+	// PhaseWALAppend is queueing the journal record in the log: encoding it
+	// onto the group-commit buffer, and under the relaxed sync policies
+	// also writing it to the segment.
 	PhaseWALAppend
-	// PhaseFsyncWait is the wait for the group-commit fsync covering the
-	// record — the durability tax, attributed separately from lock waits.
+	// PhaseFsyncWait is the wait for the group-commit flush covering the
+	// record (its segment write and fsync, or a wire batch's barrier) — the
+	// durability tax, attributed separately from lock waits.
 	PhaseFsyncWait
 	// PhaseWireEncode is response-frame encoding on the wire server.
 	PhaseWireEncode

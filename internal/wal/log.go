@@ -105,22 +105,29 @@ var openSegment = func(path string) (segment, error) {
 }
 
 // log is the append side of a partition's WAL: one open segment file with a
-// group-commit sync protocol. Appends under SyncAlways block until their
-// bytes are fsynced, but concurrent appenders coalesce: whoever holds the
-// sync baton flushes everything written so far, and the rest just wait for
-// a flush covering their write — one fsync absorbs a burst. The first failed
-// write or fsync latches: from then on no append is acknowledged.
+// group-commit sync protocol. Under SyncAlways an append copies its records
+// into a pending buffer, and whoever holds the flush baton writes everything
+// pending with one write and covers it with one fsync; the other appenders
+// wait for a flush covering their ticket. One write and one fsync thus absorb
+// a burst, whether its appenders wait at once (Append) or later (a Barrier
+// over Enqueue). Under the other policies an append writes at once. The first
+// failed write or fsync latches: from then on no append is acknowledged.
 type log struct {
 	policy SyncPolicy
 
-	mu     sync.Mutex // guards file writes, rotation, and written/synced
+	mu     sync.Mutex // guards the segment, pending, rotation, queued and synced
 	f      segment
 	seq    uint64 // current segment sequence number
-	writes uint64 // monotone count of completed file writes
-	synced uint64 // writes covered by the last fsync
+	queued uint64 // monotone ticket count: appends accepted so far
+	synced uint64 // tickets covered by the last good fsync
 
-	syncCond *sync.Cond // signaled after each fsync completes
-	syncing  bool       // a group-commit fsync is in flight
+	// pending holds the encoded records of queued appends no flush has
+	// taken yet (SyncAlways only); spare is the buffer the in-flight flush
+	// hands back, so the two swap without allocating.
+	pending, spare []byte
+
+	syncCond *sync.Cond // signaled after each flush or fsync completes
+	flushing bool       // a group-commit flush is in flight
 
 	// failed holds the first write or fsync error, wrapped in ErrFailed.
 	// It is set under mu; the store reads it without mu to refuse early.
@@ -134,6 +141,9 @@ type log struct {
 	done     chan struct{}
 	interval time.Duration
 }
+
+// errLogClosed is returned by appends after close.
+var errLogClosed = errors.New("wal: log closed")
 
 func openLog(dir string, seq uint64, policy SyncPolicy, interval time.Duration) (*log, error) {
 	f, err := openSegment(filepath.Join(dir, segName(seq)))
@@ -170,7 +180,7 @@ func (l *log) latch(op string, err error) error {
 	return l.err()
 }
 
-// syncedLocked records a good fsync covering the first covered writes.
+// syncedLocked records a good fsync covering the first covered tickets.
 // Coverage advances only while the log is healthy: a good fsync that lands
 // after another one failed proves nothing about the pages the failure may
 // have dropped. Callers hold mu.
@@ -192,7 +202,7 @@ func (l *log) intervalLoop() {
 			return
 		case <-t.C:
 			l.mu.Lock()
-			f, covered := l.f, l.writes
+			f, covered := l.f, l.queued
 			l.mu.Unlock()
 			if f == nil || l.err() != nil {
 				continue
@@ -212,89 +222,171 @@ func (l *log) intervalLoop() {
 	}
 }
 
-// append writes the encoded frames and, under SyncAlways, blocks until an
-// fsync covering them completes. When sp is non-nil the wait for the log
-// mutex is attributed to the queue phase, the buffered write to wal-append,
-// and the group-commit wait (own fsync or a covering one) to fsync-wait —
-// so a slow-op trace separates "stuck behind the log lock" from "paying the
-// durability tax".
-func (l *log) append(sp *trace.Op, frames []byte) error {
+// append adds recs to the log and, under SyncAlways, blocks until an fsync
+// covering them completes. When sp is non-nil the wait for the log mutex is
+// attributed to the queue phase, encoding the records to wal-append, and the
+// group-commit wait (the segment write and fsync, its own or a covering one)
+// to fsync-wait — so a slow-op trace separates "stuck behind the log lock"
+// from "paying the durability tax".
+func (l *log) append(sp *trace.Op, recs []Record) error {
 	mark := sp.Mark()
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	mark = sp.PhaseSince(trace.PhaseQueue, mark)
-	if err := l.err(); err != nil {
-		l.mu.Unlock()
+	ticket, err := l.enqueueLocked(recs)
+	if err != nil {
 		return err
 	}
-	if l.f == nil {
-		l.mu.Unlock()
-		return fmt.Errorf("wal: log closed")
-	}
-	if _, err := l.f.Write(frames); err != nil {
-		// The segment may now end in a partial frame: anything appended
-		// after it would be unreachable past replay's torn-tail cut.
-		err = l.latch("append", err)
-		l.mu.Unlock()
-		return err
-	}
-	l.writes++
-	ticket := l.writes
-	l.appends.Add(1)
-	l.bytes.Add(uint64(len(frames)))
 	mark = sp.PhaseSince(trace.PhaseWALAppend, mark)
-
-	if l.policy != SyncAlways {
-		l.mu.Unlock()
-		return nil
-	}
-
-	// Group commit: wait until some fsync covers our ticket. If nobody is
-	// flushing, become the flusher; otherwise wait for the current flush
-	// to land and re-check (it may have started before our write). A latched
-	// failure ends the wait for every ticket still uncovered.
 	defer sp.PhaseSince(trace.PhaseFsyncWait, mark)
-	for l.synced < ticket {
-		if err := l.err(); err != nil {
-			l.mu.Unlock()
-			return err
-		}
-		if !l.syncing {
-			l.syncing = true
-			covered := l.writes // everything written so far rides this fsync
-			f := l.f
-			l.mu.Unlock()
-			err := f.Sync()
-			l.mu.Lock()
-			l.syncing = false
-			if err != nil {
-				l.latch("fsync", err)
-			} else {
-				l.syncedLocked(covered)
-			}
-		} else {
-			l.syncCond.Wait()
-		}
-	}
-	l.mu.Unlock()
-	return nil
+	return l.waitLocked(ticket)
 }
 
-// rotate closes the current segment and opens a fresh one with the next
-// sequence number, returning the sequence of the now-sealed segment. Any
-// failure latches: the log no longer has a segment it can promise to extend.
-func (l *log) rotate(dir string) (sealed uint64, err error) {
+// enqueue adds recs to the log without waiting for durability and returns
+// the ticket wait takes; the span is charged as append charges it.
+func (l *log) enqueue(sp *trace.Op, recs []Record) (uint64, error) {
+	mark := sp.Mark()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	mark = sp.PhaseSince(trace.PhaseQueue, mark)
+	ticket, err := l.enqueueLocked(recs)
+	sp.PhaseSince(trace.PhaseWALAppend, mark)
+	return ticket, err
+}
+
+// enqueueLocked encodes recs onto the pending buffer and returns their
+// ticket. Under SyncAlways the next flush writes them; under the other
+// policies they are written at once, which is all those policies promise
+// before acknowledging. Callers hold mu.
+func (l *log) enqueueLocked(recs []Record) (uint64, error) {
 	if err := l.err(); err != nil {
 		return 0, err
 	}
 	if l.f == nil {
-		return 0, fmt.Errorf("wal: log closed")
+		return 0, errLogClosed
+	}
+	n := len(l.pending)
+	for i := range recs {
+		l.pending = appendRecord(l.pending, recs[i])
+	}
+	size := uint64(len(l.pending) - n)
+	if l.policy != SyncAlways {
+		_, err := l.f.Write(l.pending)
+		l.pending = l.pending[:0]
+		if err != nil {
+			// The segment may now end in a partial frame: anything appended
+			// after it would be unreachable past replay's torn-tail cut.
+			return 0, l.latch("append", err)
+		}
+	}
+	l.queued++
+	l.appends.Add(1)
+	l.bytes.Add(size)
+	return l.queued, nil
+}
+
+// wait blocks until ticket is durable under the log's policy: under
+// SyncAlways until a good fsync covers it, otherwise at once (its write is
+// already done).
+func (l *log) wait(ticket uint64) error {
+	if l.policy != SyncAlways {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.waitLocked(ticket)
+}
+
+// waitLocked is wait with mu held. Group commit: if nobody is flushing,
+// become the flusher; otherwise wait for the current flush to land and
+// re-check (it may have taken the pending bytes before ours). A latched
+// failure ends the wait for every ticket still uncovered.
+func (l *log) waitLocked(ticket uint64) error {
+	if l.policy != SyncAlways {
+		return nil
+	}
+	for l.synced < ticket {
+		if err := l.err(); err != nil {
+			return err
+		}
+		switch {
+		case l.flushing:
+			l.syncCond.Wait()
+		case l.f == nil:
+			return errLogClosed
+		default:
+			l.flushLocked()
+		}
+	}
+	return nil
+}
+
+// flushLocked writes every pending record with one write and covers every
+// ticket queued so far with one fsync. It releases mu for both syscalls, so
+// appenders keep queueing meanwhile; the flushing flag keeps rotate and close
+// off the segment until it is done. Callers hold mu with no flush in flight.
+func (l *log) flushLocked() {
+	l.flushing = true
+	buf, covered, f := l.pending, l.queued, l.f
+	l.pending = l.spare[:0]
+	l.mu.Unlock()
+	op := "append"
+	var err error
+	if len(buf) > 0 {
+		_, err = f.Write(buf)
+	}
+	if err == nil {
+		op = "fsync"
+		err = f.Sync()
+	}
+	l.mu.Lock()
+	l.flushing = false
+	l.spare = buf[:0]
+	if err != nil {
+		l.latch(op, err)
+	} else {
+		l.syncedLocked(covered)
+	}
+}
+
+// settleLocked waits out an in-flight flush and writes what is still
+// pending to the open segment, so a rotate or close that follows seals
+// every queued record into it. Callers hold mu.
+func (l *log) settleLocked() error {
+	for l.flushing {
+		l.syncCond.Wait()
+	}
+	if err := l.err(); err != nil {
+		return err
+	}
+	if l.f == nil {
+		return errLogClosed
+	}
+	if len(l.pending) > 0 {
+		_, err := l.f.Write(l.pending)
+		l.pending = l.pending[:0]
+		if err != nil {
+			return l.latch("append", err)
+		}
+	}
+	return nil
+}
+
+// rotate closes the current segment and opens a fresh one with the next
+// sequence number, returning the sequence of the now-sealed segment. The
+// records still pending are written to the sealed segment first, and its
+// fsync covers every ticket queued so far. Any failure latches: the log no
+// longer has a segment it can promise to extend.
+func (l *log) rotate(dir string) (sealed uint64, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.settleLocked(); err != nil {
+		return 0, err
 	}
 	if err := l.f.Sync(); err != nil {
 		return 0, l.latch("rotate sync", err)
 	}
-	l.syncs.Add(1)
+	l.syncedLocked(l.queued) // fresh segment: everything prior is on the sealed file
 	if err := l.f.Close(); err != nil {
 		return 0, l.latch("rotate close", err)
 	}
@@ -306,14 +398,13 @@ func (l *log) rotate(dir string) (sealed uint64, err error) {
 		return 0, l.latch("rotate open", err)
 	}
 	l.f = f
-	l.synced = l.writes // fresh segment: everything prior is on the sealed file
 	return sealed, nil
 }
 
-// close stops the interval loop, fsyncs a healthy log and closes the
-// segment; appends still waiting return once the fsync has covered them. A
-// failed log skips the fsync, which could prove nothing, and returns its
-// latched error.
+// close stops the interval loop, writes what is pending, fsyncs a healthy
+// log and closes the segment; appends still waiting return once the fsync
+// has covered them. A failed log skips the write and the fsync, which could
+// prove nothing, and returns its latched error.
 func (l *log) close() error {
 	if l.stop != nil {
 		close(l.stop)
@@ -321,15 +412,18 @@ func (l *log) close() error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for l.flushing {
+		l.syncCond.Wait()
+	}
 	if l.f == nil {
 		return nil
 	}
-	err := l.err()
+	err := l.settleLocked()
 	if err == nil {
 		if serr := l.f.Sync(); serr != nil {
 			err = l.latch("fsync", serr)
 		} else {
-			l.syncedLocked(l.writes)
+			l.syncedLocked(l.queued)
 		}
 	}
 	if cerr := l.f.Close(); err == nil {

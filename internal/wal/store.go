@@ -185,13 +185,32 @@ func (s *Store) AppendBatchTraced(sp *trace.Op, recs []Record) error {
 	if err := s.log.err(); err != nil {
 		return err
 	}
-	buf := make([]byte, 0, len(recs)*frameLen)
 	for i := range recs {
 		recs[i].LSN = s.lsn.Add(1)
-		buf = appendRecord(buf, recs[i])
 	}
-	return s.log.append(sp, buf)
+	return s.log.append(sp, recs)
 }
+
+// Enqueue journals one record without waiting for it to be durable and
+// returns its ticket: the record is ordered after every record appended or
+// enqueued before it, and WaitDurable(ticket) returns nil once a good fsync
+// covers it (under SyncAlways; at once under the other policies, whose
+// write is already done). A batch of writers that enqueue and then wait
+// once share one segment write and one fsync. The span, when non-nil, is
+// charged the log-mutex wait and the encoding, as AppendTraced charges them.
+func (s *Store) Enqueue(sp *trace.Op, op Op, name uint32, token uint64, deadline int64) (uint64, error) {
+	if err := s.log.err(); err != nil {
+		return 0, err
+	}
+	rec := [1]Record{{LSN: s.lsn.Add(1), Op: op, Name: name, Token: token, Deadline: deadline}}
+	return s.log.enqueue(sp, rec[:])
+}
+
+// WaitDurable blocks until the record Enqueue ticketed is durable, running
+// the group-commit flush itself when none is in flight. It returns the
+// latched failure (wrapping ErrFailed) when the log failed before a good
+// fsync covered the ticket.
+func (s *Store) WaitDurable(ticket uint64) error { return s.log.wait(ticket) }
 
 // BeginCheckpoint seals the current segment and returns the LSN high-water
 // mark the snapshot will cover. The caller MUST invoke it under its write

@@ -18,6 +18,22 @@ type Backend interface {
 	ServeWire(req *Request, resp *Response)
 }
 
+// BatchBackend is the optional Backend extension that serves a connection's
+// buffered frames as one batch: ServeWireBatch fills resps[i] for reqs[i],
+// and may apply every frame before answering any (the service defers the
+// batch's lease writes behind one durability wait). The server encodes the
+// responses only after it returns, in frame order. The same reuse rule as
+// ServeWire holds for every request and response.
+type BatchBackend interface {
+	Backend
+	ServeWireBatch(reqs []*Request, resps []*Response)
+}
+
+// maxServeBatch bounds the frames one batch holds: the first frame of a
+// batch may wait on the socket, each further one must already be whole in
+// the connection's read buffer.
+const maxServeBatch = 32
+
 // Server accepts wire connections and drives one serve loop per connection.
 type Server struct {
 	backend Backend
@@ -141,13 +157,16 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// serveConn runs the per-connection loop: read a frame, decode, dispatch,
-// encode, and flush only when no further request bytes are already buffered —
-// so a pipelining client gets its responses coalesced into few writes.
-// Framing errors (bad magic/version, oversize, short read) are unrecoverable
-// and close the connection; semantic errors (unknown opcode, malformed
-// payload) answer 400 and keep the stream alive, since the frame boundary
-// itself was sound.
+// serveConn runs the per-connection loop. It reads a batch of frames — the
+// first one it waits for plus every further frame already whole in the read
+// buffer, up to maxServeBatch — decodes them, hands the batch to the backend
+// (to a BatchBackend at once, else frame by frame), encodes the responses in
+// frame order, and flushes only when no further request bytes are already
+// buffered, so a pipelining client gets its responses coalesced into few
+// writes. Framing errors (bad magic/version, oversize, short read) are
+// unrecoverable and close the connection; semantic errors (unknown opcode,
+// malformed payload) answer 400 and keep the stream alive, since the frame
+// boundary itself was sound.
 func (s *Server) serveConn(c net.Conn) {
 	defer c.Close()
 	if tc, ok := c.(*net.TCPConn); ok {
@@ -155,75 +174,136 @@ func (s *Server) serveConn(c net.Conn) {
 	}
 	r := bufio.NewReaderSize(c, 64<<10)
 	w := bufio.NewWriterSize(c, 64<<10)
+	batch, _ := s.backend.(BatchBackend)
 
+	// frame is one slot of the batch; its request and response are reused
+	// across batches, as the Backend contract allows.
+	type frame struct {
+		h    Header
+		req  Request
+		resp Response
+		sp   *trace.Op
+	}
 	var (
 		hdr     [HeaderLen]byte
 		payload []byte
-		req     Request
-		resp    Response
 		out     []byte
+		frames  = make([]frame, maxServeBatch)
+		reqs    = make([]*Request, 0, maxServeBatch)
+		resps   = make([]*Response, 0, maxServeBatch)
 	)
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return
-		}
-		h, err := ParseHeader(hdr[:])
-		if err != nil {
-			return // cannot resynchronize a broken frame stream
-		}
-		if int(h.Len) > cap(payload) {
-			payload = make([]byte, h.Len)
-		}
-		payload = payload[:h.Len]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return
-		}
+		n := 0
+		for n < maxServeBatch {
+			var (
+				h Header
+				p []byte // the frame's payload
+			)
+			if n == 0 {
+				if _, err := io.ReadFull(r, hdr[:]); err != nil {
+					return
+				}
+				var err error
+				if h, err = ParseHeader(hdr[:]); err != nil {
+					return // cannot resynchronize a broken frame stream
+				}
+				if int(h.Len) > cap(payload) {
+					payload = make([]byte, h.Len)
+				}
+				payload = payload[:h.Len]
+				if _, err := io.ReadFull(r, payload); err != nil {
+					return
+				}
+				p = payload
+			} else {
+				var ok bool
+				if h, p, ok = bufferedFrame(r); !ok {
+					break
+				}
+			}
 
-		s.framesRead.Add(1)
-		resp.Reset()
-		var sp *trace.Op
-		if err := DecodeRequest(h, payload, &req); err != nil {
-			s.decodeErrors.Add(1)
-			resp.Status = StatusBadRequest
-			resp.Code = CodeBadRequest
-		} else {
+			s.framesRead.Add(1)
+			f := &frames[n]
+			n++
+			f.h, f.sp = h, nil
+			f.resp.Reset()
+			err := DecodeRequest(h, p, &f.req)
+			if n > 1 {
+				// Decoding copied what it keeps out of the read buffer.
+				_, _ = r.Discard(HeaderLen + len(p)) // buffered, so it cannot fail
+			}
+			if err != nil {
+				s.decodeErrors.Add(1)
+				f.resp.Status = StatusBadRequest
+				f.resp.Code = CodeBadRequest
+				continue
+			}
 			// The rid is formatted only for a span: with tracing off a
 			// frame formats nothing.
 			if s.tracer.Enabled() {
-				if sp = s.tracer.Begin(req.Op.String(), RIDString(req.ID)); sp != nil && req.Trace {
-					sp.Force()
+				if f.sp = s.tracer.Begin(f.req.Op.String(), RIDString(f.req.ID)); f.sp != nil && f.req.Trace {
+					f.sp.Force()
 				}
 			}
-			req.Span = sp
-			s.backend.ServeWire(&req, &resp)
+			f.req.Span = f.sp
+			reqs = append(reqs, &f.req)
+			resps = append(resps, &f.resp)
 		}
+		if batch != nil {
+			batch.ServeWireBatch(reqs, resps)
+		} else {
+			for i, req := range reqs {
+				s.backend.ServeWire(req, resps[i])
+			}
+		}
+		reqs, resps = reqs[:0], resps[:0]
 
-		mark := sp.Mark()
-		out = AppendResponse(out[:0], h.Op, h.ID, &resp)
-		mark = sp.PhaseSince(trace.PhaseWireEncode, mark)
-		if _, err := w.Write(out); err != nil {
-			return
-		}
-		s.framesWritten.Add(1)
-		// Flush only when the read side has gone quiet: if more request
-		// bytes are already buffered, the client is pipelining and will
-		// happily wait one more turn for a combined flush.
-		if r.Buffered() == 0 {
-			if err := w.Flush(); err != nil {
+		for i := range frames[:n] {
+			f := &frames[i]
+			mark := f.sp.Mark()
+			out = AppendResponse(out[:0], f.h.Op, f.h.ID, &f.resp)
+			mark = f.sp.PhaseSince(trace.PhaseWireEncode, mark)
+			if _, err := w.Write(out); err != nil {
 				return
 			}
-			s.flushes.Add(1)
-			mark = sp.PhaseSince(trace.PhaseFlush, mark)
-		}
-		if sp != nil {
-			errCode := ""
-			if resp.Status != StatusOK {
-				errCode = resp.Code.String()
+			s.framesWritten.Add(1)
+			// Flush only when the read side has gone quiet: if more request
+			// bytes are already buffered, the client is pipelining and will
+			// happily wait one more turn for a combined flush.
+			if i == n-1 && r.Buffered() == 0 {
+				if err := w.Flush(); err != nil {
+					return
+				}
+				s.flushes.Add(1)
+				mark = f.sp.PhaseSince(trace.PhaseFlush, mark)
 			}
-			// The span ends at its last phase boundary, which reads no
-			// clock of its own; an unflushed frame's copy into the write
-			// buffer is left out.
-			sp.FinishAt(mark, errCode)
+			if f.sp != nil {
+				errCode := ""
+				if f.resp.Status != StatusOK {
+					errCode = f.resp.Code.String()
+				}
+				// The span ends at its last phase boundary, which reads no
+				// clock of its own; an unflushed frame's copy into the write
+				// buffer is left out.
+				f.sp.FinishAt(mark, errCode)
+			}
 		}
 	}
+}
+
+// bufferedFrame returns the next frame when r already holds all of it, its
+// payload still in r's buffer, so reading it waits on nothing; the caller
+// discards the frame once decoded. A broken header reads as no frame: the
+// next batch reads it and closes the connection.
+func bufferedFrame(r *bufio.Reader) (Header, []byte, bool) {
+	if r.Buffered() < HeaderLen {
+		return Header{}, nil, false
+	}
+	b, _ := r.Peek(HeaderLen)
+	h, err := ParseHeader(b)
+	if err != nil || r.Buffered() < HeaderLen+int(h.Len) {
+		return Header{}, nil, false
+	}
+	b, _ = r.Peek(HeaderLen + int(h.Len))
+	return h, b[HeaderLen:], true
 }

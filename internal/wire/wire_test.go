@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -621,6 +622,95 @@ func TestServerAnswers400OnBadPayload(t *testing.T) {
 	}
 	if h, _ := ParseHeader(hdr); h.ID != 10 || h.Status != StatusOK {
 		t.Fatalf("ping after 400: %+v", h)
+	}
+}
+
+// batchBackend is echoBackend as a BatchBackend, recording the request IDs
+// of every batch the server hands it.
+type batchBackend struct {
+	echoBackend
+	mu      sync.Mutex
+	batches [][]uint64
+}
+
+func (b *batchBackend) ServeWireBatch(reqs []*Request, resps []*Response) {
+	ids := make([]uint64, len(reqs))
+	for i, req := range reqs {
+		ids[i] = req.ID
+		b.ServeWire(req, resps[i])
+	}
+	b.mu.Lock()
+	b.batches = append(b.batches, ids)
+	b.mu.Unlock()
+}
+
+// TestServerBatchesBufferedFrames sends 40 frames in one write, one of them
+// malformed. A BatchBackend gets the decodable frames in order, in batches
+// of at most maxServeBatch frames, the malformed one is answered 400 without
+// it, and every response comes back in frame order.
+func TestServerBatchesBufferedFrames(t *testing.T) {
+	backend := &batchBackend{}
+	_, addr := startTestServer(t, backend)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer nc.Close()
+
+	const frames, bad = 40, 5
+	var buf []byte
+	var want []uint64
+	for id := uint64(1); id <= frames; id++ {
+		if id == bad {
+			var frame [HeaderLen + 3]byte
+			PutHeader(frame[:], Header{Op: OpAcquire, ID: id, Len: 3})
+			buf = append(buf, frame[:]...)
+			continue
+		}
+		buf = AppendRequest(buf, &Request{Op: OpAcquire, ID: id, TTLMillis: int64(id)})
+		want = append(want, id)
+	}
+	if _, err := nc.Write(buf); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	hdr := make([]byte, HeaderLen)
+	for id := uint64(1); id <= frames; id++ {
+		if _, err := readFull(nc, hdr); err != nil {
+			t.Fatalf("read response %d: %v", id, err)
+		}
+		h, err := ParseHeader(hdr)
+		if err != nil {
+			t.Fatalf("parse response %d: %v", id, err)
+		}
+		if _, err := readFull(nc, make([]byte, h.Len)); err != nil {
+			t.Fatalf("read payload %d: %v", id, err)
+		}
+		wantStatus := StatusOK
+		if id == bad {
+			wantStatus = StatusBadRequest
+		}
+		if h.ID != id || h.Status != wantStatus {
+			t.Fatalf("response %d: id %d status %d, want id %d status %d", id, h.ID, h.Status, id, wantStatus)
+		}
+	}
+
+	backend.mu.Lock()
+	defer backend.mu.Unlock()
+	var got []uint64
+	multi := false
+	for _, ids := range backend.batches {
+		if len(ids) > maxServeBatch {
+			t.Errorf("a batch of %d frames exceeds the bound %d", len(ids), maxServeBatch)
+		}
+		multi = multi || len(ids) > 1
+		got = append(got, ids...)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("backend served %v, want %v in order", got, want)
+	}
+	if !multi {
+		t.Fatalf("every batch held one frame (%d batches); buffered frames were not batched", len(backend.batches))
 	}
 }
 
