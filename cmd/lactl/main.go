@@ -6,7 +6,9 @@
 //	lactl -addr http://127.0.0.1:7001 leases    # active sessions (paged via /leases)
 //
 // members and stats need a cluster member; leases also works against a
-// standalone laserve (which serves the same /leases endpoint).
+// standalone laserve (which serves the same /leases endpoint). metrics,
+// trace and events read HTTP-only endpoints, so against a standalone laserve
+// they need -proto http and its HTTP address.
 //
 // -proto wire reads the same responses over the binary wire protocol
 // instead of HTTP; point -addr at a member's wire endpoint (host:port,
@@ -259,13 +261,9 @@ func httpBase(addr string) string {
 // runMetrics scrapes /metrics from every member (or the standalone target)
 // and renders per-partition occupancy plus a per-node operation summary.
 func runMetrics(src *source, verify bool) error {
-	bases := []string{httpBase(src.base)}
-	t, terr := src.fetchTable()
-	if terr == nil {
-		bases = bases[:0]
-		for _, m := range t.Alive() {
-			bases = append(bases, httpBase(m.Addr))
-		}
+	bases, err := httpBases(src)
+	if err != nil {
+		return err
 	}
 
 	parts := stats.NewTable("per-partition occupancy (scraped from /metrics)",
@@ -334,19 +332,24 @@ func runMetrics(src *source, verify bool) error {
 	return nil
 }
 
-// debugBases lists the HTTP base URLs to read debug endpoints from: every
-// live member of a cluster, or the standalone target itself. The debug
-// endpoints are HTTP-only, like /metrics.
-func debugBases(src *source) []string {
+// httpBases lists the HTTP base URLs to read /metrics and the debug
+// endpoints from, which are HTTP-only: every live member of a cluster, or
+// the standalone target itself. A standalone laserve serves no table to
+// learn its HTTP address from, so under -proto wire these reads fail and
+// say so.
+func httpBases(src *source) ([]string, error) {
 	t, err := src.fetchTable()
 	if err != nil {
-		return []string{httpBase(src.base)}
+		if src.proto == registry.ProtoWire {
+			return nil, fmt.Errorf("%w; /metrics and the debug endpoints are served over HTTP only, so read a standalone laserve with -proto http and its HTTP address", err)
+		}
+		return []string{httpBase(src.base)}, nil
 	}
 	var bases []string
 	for _, m := range t.Alive() {
 		bases = append(bases, httpBase(m.Addr))
 	}
-	return bases
+	return bases, nil
 }
 
 // fmtNanos renders a nanosecond latency compactly ("-" for zero).
@@ -373,7 +376,11 @@ func runTrace(src *source, limit int) error {
 		failures []string
 		slowOnly = true
 	)
-	for _, base := range debugBases(src) {
+	bases, err := httpBases(src)
+	if err != nil {
+		return err
+	}
+	for _, base := range bases {
 		var ns nodeSpans
 		ns.base = base
 		node := server.NewClient(base, src.hc)
@@ -463,7 +470,11 @@ func runEvents(src *source, limit int, typeFilter string) error {
 		journals [][]trace.Event
 		failures []string
 	)
-	for _, base := range debugBases(src) {
+	bases, err := httpBases(src)
+	if err != nil {
+		return err
+	}
+	for _, base := range bases {
 		var resp trace.EventsResponse
 		if err := server.NewClient(base, src.hc).Get("/debug/events", &resp); err != nil {
 			failures = append(failures, fmt.Sprintf("%s: %v", base, err))
@@ -536,7 +547,9 @@ func (s *source) control(op wire.Opcode, in, out any) error {
 
 // runJoin admits a member by its advertised URL. Admission is idempotent per
 // address: pre-admitting here and then booting the laserve with -join hands
-// it the same member ID.
+// it the same member ID. The boot hint names the steward's HTTP address from
+// the returned table, since -join takes a base URL whatever -proto reached
+// the steward.
 func runJoin(src *source, addr, wireAddr string) error {
 	adv, err := registry.ParseJoinFlag(addr)
 	if err != nil {
@@ -549,8 +562,9 @@ func runJoin(src *source, addr, wireAddr string) error {
 	if err := src.control(wire.OpJoin, cluster.JoinRequest{Addr: adv, WireAddr: wireAddr}, &out); err != nil {
 		return err
 	}
+	st, _ := out.Table.Steward()
 	fmt.Printf("lactl: admitted %s as member %d at epoch %d (%d members); boot it with: laserve -join %s -advertise %s\n",
-		adv, out.ID, out.Table.Epoch, len(out.Table.Members), src.base, adv)
+		adv, out.ID, out.Table.Epoch, len(out.Table.Members), st.Addr, adv)
 	return nil
 }
 

@@ -6,6 +6,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -295,6 +296,68 @@ func TestDurableKillRestartUnderWireBatches(t *testing.T) {
 			t.Fatalf("no wire grant within 10s of the restart (last status %d err %v)", status, err)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// walCounts sums the WAL appends and fsyncs of every partition n owns.
+func walCounts(n *Node) (appends, syncs uint64) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	for _, id := range n.ownedIDs {
+		if st := n.parts[id].store; st != nil {
+			c := st.Counters()
+			appends, syncs = appends+c.Appends, syncs+c.Syncs
+		}
+	}
+	return appends, syncs
+}
+
+// TestDurableWireBatchesShareFsyncs: a durable member serves the frames a
+// wire connection had buffered as one batch behind one durability barrier.
+// 16 callers pipeline acquire+release pairs over one connection, which one
+// serving goroutine reads; served a frame at a time, every write would pay
+// its own fsync (1.00 appends per fsync).
+func TestDurableWireBatchesShareFsyncs(t *testing.T) {
+	l := durableLocal(t, 1, 2, 1024, 30*time.Second)
+	wc := wire.NewClient(l.WireTargets()[0], &wire.ClientConfig{Conns: 1})
+	defer wc.Close()
+	client := server.NewWireClient(wc)
+
+	appends0, syncs0 := walCounts(l.Node(0))
+	const callers, pairs = 16, 100
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range pairs {
+				g, status, _, err := client.Acquire(10_000)
+				if err != nil || status != http.StatusOK {
+					errs <- fmt.Errorf("acquire: status %d err %v", status, err)
+					return
+				}
+				if status, err := client.Release(g.Name, g.Token); err != nil || status != http.StatusOK {
+					errs <- fmt.Errorf("release: status %d err %v", status, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	appends1, syncs1 := walCounts(l.Node(0))
+	appends, syncs := appends1-appends0, syncs1-syncs0
+	if appends < 2*callers*pairs || syncs == 0 {
+		t.Fatalf("%d appends over %d fsyncs, want at least %d appends", appends, syncs, 2*callers*pairs)
+	}
+	per := float64(appends) / float64(syncs)
+	t.Logf("%d appends over %d fsyncs (%.2f per fsync)", appends, syncs, per)
+	if per < 1.5 {
+		t.Fatalf("%.2f appends per fsync, want >= 1.5: the member served its wire batches a frame at a time", per)
 	}
 }
 

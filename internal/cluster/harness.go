@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -90,6 +91,42 @@ type localNode struct {
 	// boot is the admission table of a member added by Join; nil for the
 	// original members (they construct the epoch-1 table from Peers).
 	boot *Table
+
+	// conns holds the state of each open HTTP connection (the server's
+	// ConnState hook). A clean stop closes the ones that have not begun a
+	// request, such as a client's spare dial, which Shutdown would otherwise
+	// wait up to 5s for; once stopping, new ones are closed at once.
+	connMu   sync.Mutex
+	conns    map[net.Conn]http.ConnState
+	stopping bool
+}
+
+// trackConn is the member's http.Server ConnState hook.
+func (n *localNode) trackConn(c net.Conn, st http.ConnState) {
+	n.connMu.Lock()
+	defer n.connMu.Unlock()
+	switch {
+	case st == http.StateClosed || st == http.StateHijacked:
+		delete(n.conns, c)
+	case st == http.StateNew && n.stopping:
+		c.Close()
+	default:
+		n.conns[c] = st
+	}
+}
+
+// closeNew closes every HTTP connection that has not begun a request, now
+// and from now on.
+func (n *localNode) closeNew() {
+	n.connMu.Lock()
+	defer n.connMu.Unlock()
+	n.stopping = true
+	for c, st := range n.conns {
+		if st == http.StateNew {
+			c.Close()
+			delete(n.conns, c)
+		}
+	}
 }
 
 // Local is a running in-process cluster. The mutex serializes Kill and
@@ -193,7 +230,10 @@ func (l *Local) startNode(i int) error {
 	}
 	ln := l.nodes[i]
 	ln.node = node
-	ln.server = &http.Server{Handler: node}
+	ln.connMu.Lock()
+	ln.conns, ln.stopping = map[net.Conn]http.ConnState{}, false
+	ln.connMu.Unlock()
+	ln.server = &http.Server{Handler: node, ConnState: ln.trackConn}
 	go func() { _ = ln.server.Serve(ln.listener) }()
 	if ln.wireLn != nil {
 		ln.wireSrv = wire.NewServer(node)
@@ -270,8 +310,13 @@ func (l *Local) Kill(i int) {
 	l.stop(i, false)
 }
 
-// stop tears member i down; clean selects a graceful shutdown (final clean
-// snapshot on durable members) versus a simulated crash.
+// shutdownGrace bounds how long a clean stop waits for a member's in-flight
+// HTTP handlers.
+const shutdownGrace = 5 * time.Second
+
+// stop tears member i down; clean selects a graceful shutdown (in-flight
+// HTTP handlers finish, final clean snapshot on durable members) versus a
+// simulated crash.
 func (l *Local) stop(i int, clean bool) {
 	l.mu.Lock()
 	if i < 0 || i >= len(l.nodes) || !l.nodes[i].alive {
@@ -281,11 +326,21 @@ func (l *Local) stop(i int, clean bool) {
 	n := l.nodes[i]
 	n.alive = false
 	l.mu.Unlock()
-	// A node that failed mid-StartLocal has a listener but no server yet.
-	if n.server != nil {
-		_ = n.server.Close()
-	} else {
+	// A node that failed mid-StartLocal has a listener but no server yet. A
+	// clean stop lets the handlers already running return first, so none
+	// outlives Close; one still running after shutdownGrace is cut off.
+	switch {
+	case n.server == nil:
 		_ = n.listener.Close()
+	case clean:
+		n.closeNew()
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		if n.server.Shutdown(ctx) != nil {
+			_ = n.server.Close()
+		}
+		cancel()
+	default:
+		_ = n.server.Close()
 	}
 	if n.wireSrv != nil {
 		n.wireSrv.Close()
@@ -512,9 +567,10 @@ func (l *Local) WaitForEpoch(epoch uint64, timeout time.Duration) bool {
 	}
 }
 
-// Close shuts every remaining member down gracefully (durable members write
-// a final clean snapshot, so a later StartLocal on the same DataDir resumes
-// without replaying a tail).
+// Close shuts every remaining member down gracefully: it returns once the
+// HTTP handlers in flight have returned, and durable members write a final
+// clean snapshot, so a later StartLocal on the same DataDir resumes without
+// replaying a tail.
 func (l *Local) Close() {
 	for i := range l.snapshot() {
 		l.stop(i, true)

@@ -398,6 +398,7 @@ type Node struct {
 	stopClosed bool
 	stop       chan struct{}
 	done       chan struct{}
+	pushes     sync.WaitGroup // pushTable's posts in flight; added to under lifeMu while open
 	// planDone is closed when the rebalance planner loop exits; nil when the
 	// planner is disabled.
 	planDone  chan struct{}
@@ -1037,6 +1038,7 @@ func (n *Node) shutdown(clean bool) {
 			<-planDone
 		}
 	}
+	n.pushes.Wait()
 	n.mu.Lock()
 	n.closeParts(n.table.Epoch, clean)
 	n.mu.Unlock()

@@ -225,13 +225,21 @@ func (n *Node) stewardAdmissions(t Table, oks map[int]bool, recovers map[int]int
 // pushTable POSTs the table to every other member, including suspects (a
 // falsely suspected node learns it lost its partitions and self-fences).
 // Best-effort and concurrent: the epoch gate makes duplicate or reordered
-// pushes harmless.
+// pushes harmless. A closed node pushes nothing, and shutdown waits for the
+// pushes in flight, so none outlives Close or Kill.
 func (n *Node) pushTable(t Table) {
+	n.lifeMu.Lock()
+	defer n.lifeMu.Unlock()
+	if n.closed.Load() {
+		return
+	}
 	for _, m := range t.Members {
 		if m.ID == n.cfg.NodeID {
 			continue
 		}
+		n.pushes.Add(1)
 		go func(addr string) {
+			defer n.pushes.Done()
 			n.tablePushes.Add(1)
 			var reply EpochResponse
 			if _, _, err := server.PostJSON(n.cfg.HTTPClient, addr+"/cluster", nil, t, &reply, &reply); err != nil {

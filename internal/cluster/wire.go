@@ -16,9 +16,19 @@ import (
 	"github.com/levelarray/levelarray/internal/wire"
 )
 
+var _ wire.BatchBackend = (*Node)(nil)
+
 // ServeWire implements wire.Backend: the node's whole API over binary
 // frames.
 func (n *Node) ServeWire(req *wire.Request, resp *wire.Response) { n.wire.ServeWire(req, resp) }
+
+// ServeWireBatch implements wire.BatchBackend: the lease writes among the
+// frames a connection had buffered share one durability barrier, so a
+// durable member answers them after one WAL write and one fsync per
+// partition journal they touched.
+func (n *Node) ServeWireBatch(reqs []*wire.Request, resps []*wire.Response) {
+	n.wire.ServeWireBatch(reqs, resps)
+}
 
 // serveControl answers the membership opcodes the lease API does not
 // define; false for any other opcode.

@@ -16,10 +16,12 @@ import (
 var ErrClientClosed = errors.New("wire: client closed")
 
 // ErrDialBackoff is returned (wrapped) by calls that land on a slot whose
-// redial is suppressed by the exponential backoff window: the previous dial
+// redial is suppressed by the exponential backoff window (the previous dial
 // failed recently enough that retrying now would only hammer a dead or
-// drowning endpoint. Callers with an alternative transport (the routed
-// cluster client's HTTP fallback) should fail over immediately.
+// drowning endpoint) while no other slot holds a live connection: a call on
+// a slot in backoff goes to a live sibling when there is one. Callers with
+// an alternative transport (the routed cluster client's HTTP fallback)
+// should fail over immediately.
 var ErrDialBackoff = errors.New("wire: dial suppressed by backoff")
 
 // ClientConfig tunes a Client. The zero value is usable: 1 connection,
@@ -31,14 +33,18 @@ type ClientConfig struct {
 	// DialTimeout bounds connection establishment.
 	DialTimeout time.Duration
 	// CallTimeout bounds one request/response exchange. A timeout marks the
-	// connection dead (responses could no longer be matched reliably).
+	// connection dead (responses could no longer be matched reliably) and
+	// fails every call still pending on it. A call reads no clock and arms
+	// no timer: each connection's watchdog checks its pending calls every
+	// CallTimeout/4, so a call that waits it out fails between 1x and 1.25x
+	// CallTimeout.
 	CallTimeout time.Duration
 	// RedialBackoff is the base pause before redialing a slot whose dial just
 	// failed, doubled per consecutive failure (with jitter) up to
-	// RedialBackoffMax; calls landing on the slot inside the window fail fast
-	// with ErrDialBackoff instead of paying another dial timeout. The first
-	// redial after a live connection dies is always immediate. Zero selects
-	// 25ms.
+	// RedialBackoffMax; calls landing on the slot inside the window go to
+	// another slot's live connection, or fail fast with ErrDialBackoff when
+	// there is none, instead of paying another dial timeout. The first redial
+	// after a live connection dies is always immediate. Zero selects 25ms.
 	RedialBackoff time.Duration
 	// RedialBackoffMax caps the redial backoff. Zero selects 2s.
 	RedialBackoffMax time.Duration
@@ -87,8 +93,9 @@ type Counters struct {
 // queue under a short lock, one writer goroutine hands everything queued to
 // the kernel in one write, and one reader goroutine matches responses by
 // request ID, so in-flight depth scales with callers, not connections, and
-// concurrent callers share write syscalls. Dead connections are redialed
-// lazily on the next call that lands on them.
+// concurrent callers share write syscalls. A call waits on its own channel
+// alone; one watchdog goroutine per connection enforces CallTimeout. Dead
+// connections are redialed lazily on the next call that lands on them.
 type Client struct {
 	addr string
 	cfg  ClientConfig
@@ -105,7 +112,7 @@ type Client struct {
 	backoffs   atomic.Uint64
 	jitter     atomic.Uint64 // splitmix state for backoff jitter
 
-	loops sync.WaitGroup // every connection's reader and writer; Close waits
+	loops sync.WaitGroup // every connection's reader, writer and watchdog; Close waits
 }
 
 // slot is one pooled-connection cell; c is nil until first use and after a
@@ -119,8 +126,9 @@ type slot struct {
 }
 
 // conn is one live connection plus its pipelining state: callers queue
-// encoded frames in out, one writer goroutine (writeLoop) drains them and
-// one reader goroutine (readLoop) completes the pending calls.
+// encoded frames in out, one writer goroutine (writeLoop) drains them, one
+// reader goroutine (readLoop) completes the pending calls, and one watchdog
+// goroutine fails the connection when a pending call outlives CallTimeout.
 type conn struct {
 	cl *Client
 	nc net.Conn
@@ -132,21 +140,24 @@ type conn struct {
 	// wake carries one token per idle-to-writing transition, so a caller's
 	// send never blocks: only the caller that sets writing sends.
 	wake chan struct{}
-	stop chan struct{} // closed by fail: the writer exits
+	stop chan struct{} // closed by fail: the writer and the watchdog exit
 
 	pmu     sync.Mutex
 	pending map[uint64]*call
+	issued  uint64 // calls registered in pending so far; each call's seq
 	dead    atomic.Bool
 	err     error // first fatal error, set before dead; read after dead
 }
 
-// call is one in-flight request awaiting its response frame. Its timer
-// travels with it through callPool, so a call costs no timer allocation.
+// call is one in-flight request awaiting its response frame, which the
+// reader decodes straight into the caller's resp. seq is the connection's
+// issue count when the call was registered (guarded by pmu), which is all
+// the watchdog needs to tell how long it has waited.
 type call struct {
-	done  chan struct{}
-	timer *time.Timer
-	resp  Response
-	err   error
+	done chan struct{}
+	seq  uint64
+	resp *Response
+	err  error
 }
 
 var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
@@ -178,8 +189,8 @@ func (c *Client) Counters() Counters {
 }
 
 // Close tears down every pooled connection and returns once each
-// connection's reader and writer goroutines have exited. In-flight calls
-// fail with ErrClientClosed.
+// connection's reader, writer and watchdog goroutines have exited. In-flight
+// calls fail with ErrClientClosed.
 func (c *Client) Close() {
 	c.closed.Store(true)
 	for _, s := range c.slots {
@@ -197,21 +208,24 @@ func (c *Client) Close() {
 // identifier through the frame header (for cross-hop tracing), in which case
 // the caller is responsible for keeping in-flight IDs unique on this client —
 // the pipelining match is by ID. resp's storage is owned by the caller and
-// reused across calls.
+// reused across calls: the connection's reader decodes the response into it,
+// and after an error its contents are unspecified.
 func (c *Client) Do(req *Request, resp *Response) error {
 	if c.closed.Load() {
 		return ErrClientClosed
 	}
-	s := c.slots[c.nextSlot.Add(1)%uint64(len(c.slots))]
-	cn, err := c.connFor(s)
+	cn, err := c.connFor(int(c.nextSlot.Add(1) % uint64(len(c.slots))))
 	if err != nil {
 		return err
 	}
-	return cn.roundTrip(req, resp, c.cfg.CallTimeout)
+	return cn.roundTrip(req, resp)
 }
 
-// connFor returns the slot's live connection, dialing if absent or dead.
-func (c *Client) connFor(s *slot) (*conn, error) {
+// connFor returns slot i's live connection, dialing if absent or dead. A
+// slot inside its redial-backoff window lends the call to the next slot
+// with a live connection; only when none has one does the call fail fast.
+func (c *Client) connFor(i int) (*conn, error) {
+	s := c.slots[i]
 	if cn := s.c.Load(); cn != nil && !cn.dead.Load() {
 		return cn, nil
 	}
@@ -224,6 +238,11 @@ func (c *Client) connFor(s *slot) (*conn, error) {
 		return nil, ErrClientClosed
 	}
 	if wait := time.Until(s.nextDialAt); wait > 0 {
+		for j := 1; j < len(c.slots); j++ {
+			if cn := c.slots[(i+j)%len(c.slots)].c.Load(); cn != nil && !cn.dead.Load() {
+				return cn, nil
+			}
+		}
 		c.backoffs.Add(1)
 		return nil, fmt.Errorf("%w: %s unreachable, retry in %v", ErrDialBackoff, c.addr, wait.Round(time.Millisecond))
 	}
@@ -246,16 +265,18 @@ func (c *Client) connFor(s *slot) (*conn, error) {
 	}
 	c.dials.Add(1)
 	s.c.Store(cn)
-	c.loops.Add(2)
+	c.loops.Add(3)
 	go cn.readLoop()
 	go cn.writeLoop()
+	go cn.watchdog(c.cfg.CallTimeout)
 	return cn, nil
 }
 
 // roundTrip queues req for the connection's writer and blocks for its
 // response (other callers' frames may interleave on the connection
-// meanwhile).
-func (cn *conn) roundTrip(req *Request, resp *Response, timeout time.Duration) error {
+// meanwhile). It waits on the call's channel alone: the connection's
+// watchdog, or its death, completes a call that is never answered.
+func (cn *conn) roundTrip(req *Request, resp *Response) error {
 	id := req.ID
 	if id == 0 {
 		id = cn.cl.nextID.Add(1)
@@ -271,6 +292,8 @@ func (cn *conn) roundTrip(req *Request, resp *Response, timeout time.Duration) e
 		callPool.Put(ca)
 		return cn.errOr(io.ErrClosedPipe)
 	}
+	ca.seq, ca.resp = cn.issued, resp
+	cn.issued++
 	cn.pending[id] = ca
 	cn.pmu.Unlock()
 
@@ -284,31 +307,12 @@ func (cn *conn) roundTrip(req *Request, resp *Response, timeout time.Duration) e
 		cn.wake <- struct{}{}
 	}
 
-	// Timer channels are synchronous (go 1.23+), so a timer stopped or
-	// reset here never delivers a tick from its previous call.
-	if ca.timer == nil {
-		ca.timer = time.NewTimer(timeout)
-	} else {
-		ca.timer.Reset(timeout)
-	}
-	select {
-	case <-ca.done:
-		ca.timer.Stop()
-	case <-ca.timer.C:
-		// The response stream can no longer be trusted to line up with
-		// pending IDs cheaply; kill the connection. The reader (or fail)
-		// completes ca, which we must wait for before pooling it. If the
-		// response raced the timer and won, honor it.
-		cn.fail(fmt.Errorf("wire: call timeout after %v", timeout))
-		<-ca.done
-	}
+	<-ca.done
 	err := ca.err
 	if err == nil {
-		// Move the response out before pooling the call; swapping the
-		// backing storage keeps both sides allocation-free.
-		*resp, ca.resp = ca.resp, *resp
 		cn.cl.ops.Add(1)
 	}
+	ca.resp = nil
 	callPool.Put(ca)
 	return err
 }
@@ -351,6 +355,66 @@ func (cn *conn) writeLoop() {
 	}
 }
 
+// watchdog enforces CallTimeout for every call on the connection without a
+// timer per call. Every timeout/4 it reads the issue count, then one clock,
+// and keeps that mark; a call whose seq is below the count of a mark at least
+// timeout old was registered before that mark's clock read, so it has waited
+// at least timeout. Once any pending call has, the watchdog fails the
+// connection (the response stream can no longer be trusted to line up with
+// pending IDs cheaply), which completes every pending call with the timeout
+// error. A call therefore fails between 1x and about 1.25x timeout after it
+// was issued.
+func (cn *conn) watchdog(timeout time.Duration) {
+	defer cn.cl.loops.Done()
+	tick := time.NewTicker(max(timeout/4, 1))
+	defer tick.Stop()
+	type mark struct {
+		issued uint64
+		at     time.Time
+	}
+	var marks []mark // oldest first; marks[0] is the newest one timeout old, once one is
+	for {
+		select {
+		case <-tick.C:
+		case <-cn.stop:
+			return
+		}
+		cn.pmu.Lock()
+		issued := cn.issued
+		cn.pmu.Unlock()
+		now := time.Now()
+		marks = append(marks, mark{issued, now})
+		old := -1
+		for i, m := range marks {
+			if now.Sub(m.at) < timeout {
+				break
+			}
+			old = i
+		}
+		if old < 0 {
+			continue
+		}
+		marks = append(marks[:0], marks[old:]...)
+		if cn.overdue(marks[0].issued) {
+			cn.fail(fmt.Errorf("wire: call timeout after %v", timeout))
+			return
+		}
+	}
+}
+
+// overdue reports whether any pending call was registered before the issue
+// count reached issued.
+func (cn *conn) overdue(issued uint64) bool {
+	cn.pmu.Lock()
+	defer cn.pmu.Unlock()
+	for _, ca := range cn.pending {
+		if ca.seq < issued {
+			return true
+		}
+	}
+	return false
+}
+
 // readLoop is the connection's single reader: it decodes response frames and
 // completes the matching pending call.
 func (cn *conn) readLoop() {
@@ -384,14 +448,14 @@ func (cn *conn) readLoop() {
 		if ca == nil {
 			continue // cancelled call (timeout already failed the conn) or bug
 		}
-		ca.err = DecodeResponse(h, payload, &ca.resp)
+		ca.err = DecodeResponse(h, payload, ca.resp)
 		ca.done <- struct{}{}
 	}
 }
 
-// fail marks the connection dead, stops its writer, closes it, and completes
-// every pending call with err. Safe to call multiple times; the first error
-// wins.
+// fail marks the connection dead, stops its writer and watchdog, closes it,
+// and completes every pending call with err. Safe to call multiple times;
+// the first error wins.
 func (cn *conn) fail(err error) {
 	cn.pmu.Lock()
 	if cn.dead.Load() {

@@ -382,7 +382,7 @@ func TestClientCallTimeout(t *testing.T) {
 	var req Request
 	var resp Response
 	// Time out twice on one client: the second call redials, and usually
-	// gets the first call back from callPool, fired timer included.
+	// gets the first call back from callPool.
 	for i := 1; i <= 2; i++ {
 		req = Request{Op: OpPing}
 		start := time.Now()
