@@ -358,18 +358,14 @@ func runCluster(opts clusterOptions) error {
 	tbl.AddRow("wire ops / HTTP fallbacks", fmt.Sprintf("%d/%d", report.Routing.WireOps, report.Routing.WireFallbacks))
 	tbl.AddRow("routing backoff pauses", fmt.Sprintf("%d", report.Routing.Backoffs))
 	if report.MetricsDisabled {
-		tbl.AddRow("metrics watcher", "disabled (/metrics 404)")
+		tbl.AddRow("metrics checks", "disabled (/metrics 404)")
 	} else {
 		tbl.AddRow("metrics scrapes", fmt.Sprintf("%d", report.MetricsScrapes))
 		tbl.AddRow("quarantines seen in /metrics", fmt.Sprintf("%d (mid-kill snapshots %v)", report.MetricsQuarantines, report.MetricsMidKillQuarantines))
 	}
-	if report.EventsDisabled {
-		tbl.AddRow("events watcher", "disabled (/debug/events 404)")
-	} else {
-		tbl.AddRow("cluster events captured", fmt.Sprintf("%d (epoch bumps %d, failover decisions %d, quarantine starts %d)",
-			report.EventsCaptured, report.EventCounts[trace.EvEpochBump],
-			report.EventCounts[trace.EvFailoverDecision], report.EventCounts[trace.EvQuarantineStart]))
-	}
+	tbl.AddRow("cluster events captured", fmt.Sprintf("%d (epoch bumps %d, failover decisions %d, quarantine starts %d)",
+		report.EventsCaptured, report.EventCounts[trace.EvEpochBump],
+		report.EventCounts[trace.EvFailoverDecision], report.EventCounts[trace.EvQuarantineStart]))
 	fmt.Println(tbl.String())
 
 	if err := writeJSONReport(opts.jsonPath, report); err != nil {

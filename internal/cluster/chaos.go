@@ -160,9 +160,10 @@ type ChaosReport struct {
 	// counts requested drains whose member was never observed retired (left).
 	DrainFailures int `json:"drain_failures,omitempty"`
 	DrainStuck    int `json:"drain_stuck,omitempty"`
-	// Migration totals summed across the members' final /stats: plans the
+	// Migration totals counted from the captured event journal: plans the
 	// stewards issued, snapshots shipped by sources, cutovers completed by
-	// targets, plans unwound. Retired or dead members' counts are absent.
+	// targets, plans unwound — the same events every member's /stats and
+	// la_cluster_migrations_total count.
 	MigrationsPlanned uint64 `json:"migrations_planned,omitempty"`
 	MigrationsStaged  uint64 `json:"migrations_staged,omitempty"`
 	MigrationsCutover uint64 `json:"migrations_cutover,omitempty"`
@@ -189,10 +190,10 @@ type ChaosReport struct {
 	AdoptedUnserved  int `json:"adopted_unserved"`
 	FailoverTimeouts int `json:"failover_timeouts"`
 
-	// Metrics-watcher verdict: the run is scraped from /metrics every
-	// chaosScrapeInterval and the observability surface itself is verified.
+	// Metrics verdict: the watcher scrapes every member's /metrics every
+	// chaosScrapeInterval and verifies the observability surface itself.
 	// MetricsScrapes is 0 and MetricsDisabled true when the targets serve no
-	// /metrics (watcher auto-disables on a first-scrape 404).
+	// /metrics (a first-scrape 404 turns the metrics checks off).
 	MetricsScrapes                int      `json:"metrics_scrapes"`
 	MetricsDisabled               bool     `json:"metrics_disabled,omitempty"`
 	MetricsFamiliesMissing        []string `json:"metrics_families_missing,omitempty"`
@@ -207,12 +208,11 @@ type ChaosReport struct {
 	MetricsAdoptedUnobserved      int      `json:"metrics_adopted_unobserved"`
 	MetricsOccupancyDisagreements []string `json:"metrics_occupancy_disagreements,omitempty"`
 
-	// Event-journal verdict: the run sweeps every member's /debug/events on
-	// the metrics cadence and audits the merged timeline — the journal must
-	// explain every ledger-relevant transition. EventCounts tallies the
-	// captured timeline by event type.
+	// Event-journal verdict: the same sweeps read every member's
+	// /debug/events and audit the merged timeline — the journal must explain
+	// every ledger-relevant transition. EventCounts tallies the captured
+	// timeline by event type.
 	EventsCaptured int            `json:"events_captured"`
-	EventsDisabled bool           `json:"events_disabled,omitempty"`
 	EventCounts    map[string]int `json:"event_counts,omitempty"`
 	// EventsUnexplainedBumps counts epoch_bump events with no recorded cause;
 	// EventsDecisionlessFailovers counts steward reassignments whose epoch has
@@ -272,10 +272,10 @@ func (r ChaosReport) Violations() []string {
 	if r.EventsDecisionlessFailovers > 0 {
 		v = append(v, fmt.Sprintf("%d steward reassignments have no failover_decision event at their epoch", r.EventsDecisionlessFailovers))
 	}
-	if !r.EventsDisabled && r.EpochBumps > 0 && r.EventCounts[trace.EvEpochBump] == 0 {
+	if r.EpochBumps > 0 && r.EventCounts[trace.EvEpochBump] == 0 {
 		v = append(v, "epoch bumps invisible in the event journal")
 	}
-	if !r.EventsDisabled && r.EventsCaptured > 0 && r.MetricsQuarantines > 0 && r.EventCounts[trace.EvQuarantineStart] == 0 {
+	if r.EventsCaptured > 0 && r.MetricsQuarantines > 0 && r.EventCounts[trace.EvQuarantineStart] == 0 {
 		v = append(v, "quarantine adoptions invisible in the event journal")
 	}
 	return v
@@ -320,12 +320,16 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 		return ChaosReport{}, fmt.Errorf("chaos: %w", err)
 	}
 
-	// The metrics watcher scrapes /metrics from every member throughout the
-	// run; a first-scrape 404 (metrics disabled) silently turns it off. The
-	// events watcher sweeps /debug/events the same way, assembling the
-	// cluster timeline before kills can destroy in-memory rings.
-	watch := startMetricsWatcher(cfg.Targets, cfg.Logf)
-	evwatch := startEventsWatcher(cfg.Targets, cfg.Logf)
+	// The watcher sweeps every member's /debug/events and /metrics
+	// throughout the run, assembling the cluster timeline before kills can
+	// destroy in-memory rings; a first-scrape 404 turns the metrics half off.
+	// It sweeps the live membership, joiners included, and the kill and
+	// restart bookkeeping below names members by their index in that list.
+	targets := func() []string { return cfg.Targets }
+	if cfg.Local != nil {
+		targets = cfg.Local.Targets
+	}
+	watch := startWatcher(targets, cfg.Logf)
 
 	var (
 		killDone  = make(chan struct{})
@@ -451,7 +455,7 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 						// Before the node answers a single scrape: its fresh
 						// registry resets every counter, and a fenced rejoin
 						// owns no partitions.
-						watch.noteRestart(cfg.Targets[victim])
+						watch.noteRestart(victim)
 						if err := cfg.Local.Restart(victim); err != nil {
 							cfg.Logf("chaos: restarting node %d: %v", victim, err)
 							reportMu.Lock()
@@ -562,9 +566,7 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 			report.Drains++
 			report.DrainedNodes = append(report.DrainedNodes, drainee)
 			reportMu.Unlock()
-			if drainee < len(cfg.Targets) {
-				watch.noteDrained(cfg.Targets[drainee])
-			}
+			watch.noteDrained(drainee)
 			// Retirement may land after the load ends; keep watching past
 			// killStop with a hard bound so the run always reaches a verdict.
 			retireBy := time.Now().Add(30 * time.Second)
@@ -597,7 +599,6 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	lp.Close()
 	if runErr != nil {
 		watch.finalize(&report)
-		evwatch.finalize(&report)
 		return ChaosReport{}, fmt.Errorf("chaos: %w", runErr)
 	}
 
@@ -610,7 +611,6 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 		fills, unserved, err := adoptionProbe(client, lp, cfg.TTL, adopted)
 		if err != nil {
 			watch.finalize(&report)
-			evwatch.finalize(&report)
 			return report, err
 		}
 		report.FillAcquired, report.AdoptedUnserved = fills, unserved
@@ -636,22 +636,15 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	// Stop the watchers and fold their verdicts in while the cluster is
-	// still up: the end-of-run occupancy agreement re-scrapes every live
-	// member, and the last event sweep catches the final adoptions.
+	// Stop the watcher and fold its verdict in while the cluster is still
+	// up: the end-of-run occupancy agreement re-scrapes every live member,
+	// and the last sweep catches the final adoptions.
 	watch.finalize(&report)
-	evwatch.finalize(&report)
 	report.FinalEpoch = client.Table().Epoch
 	for _, m := range client.Table().Alive() {
 		if s, err := client.NodeStats(m.Addr); err == nil {
 			report.Nodes = append(report.Nodes, s)
 		}
-	}
-	for _, s := range report.Nodes {
-		report.MigrationsPlanned += s.Migrations.Planned
-		report.MigrationsStaged += s.Migrations.Staged
-		report.MigrationsCutover += s.Migrations.Cutover
-		report.MigrationsAborted += s.Migrations.Aborted
 	}
 	return report, nil
 }

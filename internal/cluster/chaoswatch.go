@@ -1,14 +1,20 @@
 package cluster
 
-// The chaos metrics watcher: while RunChaos drives load and kills nodes, this
-// scraper reads every member's /metrics on a short cadence and verifies that
-// the observability surface tells the truth — required families present,
-// counters monotonic per member, the failover visible in metrics alone (the
-// quarantine counter moves and every adopted partition reappears under a
-// survivor's per-partition gauges), and the occupancy gauges agreeing with
-// /stats at the end of the run. The watcher is an observer only: it never
-// writes to the cluster, and a deployment with metrics disabled (404 on the
-// first scrape) disables it rather than failing the run.
+// The chaos watcher: while RunChaos drives load and kills nodes, one
+// goroutine sweeps the live membership on a short cadence. Each sweep reads
+// every member's /debug/events and folds unseen events into the cluster
+// timeline, which must be assembled while the run is still killing nodes (a
+// killed member's in-memory ring dies with it). The same sweep scrapes every
+// member's /metrics and verifies that the observability surface tells the
+// truth: required families present, counters monotonic per member, the
+// failover visible in metrics alone (the quarantine counter moves and every
+// adopted partition reappears under a survivor's per-partition gauges), and
+// the occupancy gauges agreeing with /stats at the end of the run. At the end
+// the timeline is audited too: every epoch bump must carry a cause, and every
+// steward reassignment needs a failover decision at its epoch. The watcher is
+// an observer only: it never writes to the cluster, and a deployment with
+// metrics disabled (404 on the first scrape) turns the metrics half off
+// rather than failing the run.
 
 import (
 	"fmt"
@@ -22,6 +28,7 @@ import (
 	"github.com/levelarray/levelarray/internal/lease"
 	"github.com/levelarray/levelarray/internal/metrics"
 	"github.com/levelarray/levelarray/internal/server"
+	"github.com/levelarray/levelarray/internal/trace"
 	"github.com/levelarray/levelarray/internal/wire"
 )
 
@@ -43,16 +50,21 @@ var chaosRequiredFamilies = []string{
 	"go_goroutines",
 }
 
-// metricsWatcher is the scraper's shared state. One mutex guards it all; the
-// scrape loop, the killer's noteKill and the final summarize all take it.
-type metricsWatcher struct {
-	targets []string
+// chaosWatcher is the sweeper's shared state. One mutex guards it all; the
+// sweep, the killer's notes and the final verdict all take it.
+type chaosWatcher struct {
+	// targets lists the members to sweep, re-read on every sweep so members
+	// that join mid-run are swept too; the first initial of them are the
+	// members the run started with.
+	targets func() []string
+	initial int
 	hc      *http.Client
 	logf    func(format string, args ...any)
 
-	mu       sync.Mutex
-	disabled bool
-	scrapes  int
+	mu sync.Mutex
+	// metricsOff is set when /metrics answered 404 on the first scrape.
+	metricsOff bool
+	scrapes    int
 	// missing records required families absent from a healthy scrape.
 	missing map[string]bool
 	// last holds each member's previous counter values, keyed by series
@@ -70,33 +82,33 @@ type metricsWatcher struct {
 	// once some still-scrapable member exports its gauges (only owners emit
 	// per-partition series, so presence on a survivor proves adoption).
 	watchParts map[int]bool
-	// restarted marks targets brought back after a kill: a restart resets the
-	// member's counters (a fresh process), so its monotonic baseline is
-	// cleared, and a fenced rejoin owns no partitions, so the per-partition
-	// families are legitimately absent from its scrapes.
-	restarted map[string]bool
-	// emptied marks targets being drained: the planner migrates every
-	// partition off a draining member, so its per-partition families vanish
-	// from an otherwise healthy scrape once the last cutover lands.
-	emptied map[string]bool
+	// partless marks targets whose per-partition families may legitimately
+	// be absent from a healthy scrape: a restarted member (a fenced rejoin
+	// owns no partitions) and a drained one (migrated empty). Members that
+	// joined mid-run are exempt too, until the planner fills them.
+	partless map[string]bool
+	// seen and events hold the deduplicated cluster timeline.
+	seen   map[[3]int64]bool
+	events []trace.Event
 
 	stop     chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
 }
 
-// startMetricsWatcher begins scraping the targets; the first sweep decides
-// whether metrics are enabled at all.
-func startMetricsWatcher(targets []string, logf func(string, ...any)) *metricsWatcher {
-	w := &metricsWatcher{
+// startWatcher begins sweeping targets; the first sweep decides whether
+// metrics are enabled at all.
+func startWatcher(targets func() []string, logf func(string, ...any)) *chaosWatcher {
+	w := &chaosWatcher{
 		targets:    targets,
+		initial:    len(targets()),
 		hc:         &http.Client{Timeout: 2 * time.Second},
 		logf:       logf,
 		missing:    make(map[string]bool),
 		last:       make(map[string]map[string]counterBaseline),
 		watchParts: make(map[int]bool),
-		restarted:  make(map[string]bool),
-		emptied:    make(map[string]bool),
+		partless:   make(map[string]bool),
+		seen:       make(map[[3]int64]bool),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
@@ -104,13 +116,11 @@ func startMetricsWatcher(targets []string, logf func(string, ...any)) *metricsWa
 	return w
 }
 
-func (w *metricsWatcher) loop() {
+func (w *chaosWatcher) loop() {
 	defer close(w.done)
-	// Sweep immediately: the first sweep decides enablement, and even a run
-	// shorter than one scrape interval must record at least one scrape.
-	if !w.sweep() {
-		return
-	}
+	// Sweep immediately: the first sweep decides metrics enablement, and even
+	// a run shorter than one scrape interval must record at least one scrape.
+	w.sweep()
 	ticker := time.NewTicker(chaosScrapeInterval)
 	defer ticker.Stop()
 	for {
@@ -118,62 +128,71 @@ func (w *metricsWatcher) loop() {
 		case <-w.stop:
 			return
 		case <-ticker.C:
-		}
-		if !w.sweep() {
-			return
+			w.sweep()
 		}
 	}
 }
 
-// sweep scrapes every target once; it returns false when the watcher decided
-// metrics are disabled and scraping should cease.
-func (w *metricsWatcher) sweep() bool {
-	var (
-		quarSum float64
-		healthy int
-	)
+// sweep reads every live member once: its journal, then its metrics.
+// Killed members and mid-kill connection resets are expected and skipped.
+func (w *chaosWatcher) sweep() {
 	type scraped struct {
 		target  string
+		joined  bool
 		samples []metrics.Sample
 	}
-	var results []scraped
-	for _, target := range w.targets {
+	var (
+		results []scraped
+		journal []trace.Event
+		quarSum float64
+	)
+	w.mu.Lock()
+	scrape, first := !w.metricsOff, w.scrapes == 0
+	w.mu.Unlock()
+	for i, target := range w.targets() {
+		var resp trace.EventsResponse
+		if status, err := server.GetJSON(w.hc, target+"/debug/events", &resp); err == nil && status/100 == 2 {
+			journal = append(journal, resp.Events...)
+		}
+		if !scrape {
+			continue
+		}
 		samples, status, err := server.NewClient(target, w.hc).Scrape()
 		if err != nil {
-			// Killed members and mid-kill connection resets are expected;
-			// a 404 from a live member means metrics are off by design.
-			if status == http.StatusNotFound {
+			// A 404 on the first scrape means metrics are off by design.
+			if status == http.StatusNotFound && first {
+				scrape = false
 				w.mu.Lock()
-				first := w.scrapes == 0
-				if first {
-					w.disabled = true
-				}
+				w.metricsOff = true
 				w.mu.Unlock()
-				if first {
-					if w.logf != nil {
-						w.logf("chaos: %s/metrics returned 404; metrics watcher disabled", target)
-					}
-					return false
-				}
+				w.logf("chaos: %s/metrics returned 404; metrics checks disabled", target)
 			}
 			continue
 		}
-		healthy++
-		results = append(results, scraped{target, samples})
+		results = append(results, scraped{target, i >= w.initial, samples})
 		quarSum += metrics.Sum(samples, "la_cluster_quarantines_total")
-	}
-	if healthy == 0 {
-		return true
 	}
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	for _, ev := range journal {
+		// A restarted member reuses node IDs and restarts its sequence, so
+		// the wall-clock stamp disambiguates incarnations.
+		key := [3]int64{int64(ev.Node), int64(ev.Seq), ev.TimeUnixNano}
+		if !w.seen[key] {
+			w.seen[key] = true
+			w.events = append(w.events, ev)
+		}
+	}
+	if len(results) == 0 {
+		return
+	}
 	w.scrapes++
 	if quarSum > w.maxQuarantines {
 		w.maxQuarantines = quarSum
 	}
 	for _, r := range results {
-		w.checkFamilies(r.target, r.samples)
+		w.checkFamilies(r.target, r.joined, r.samples)
 		w.checkMonotonic(r.target, r.samples)
 		for _, sm := range r.samples {
 			if sm.Name != "la_partition_active" {
@@ -188,14 +207,13 @@ func (w *metricsWatcher) sweep() bool {
 		w.killPending = false
 		w.midKill = append(w.midKill, uint64(quarSum))
 	}
-	return true
 }
 
 // checkFamilies records required families absent from this healthy scrape.
-// Per-partition families are exempt on restarted and draining members: a
-// fenced rejoin owns no partitions, and a draining member is migrated empty,
-// so those samplers legitimately emit nothing.
-func (w *metricsWatcher) checkFamilies(target string, samples []metrics.Sample) {
+// Per-partition families are exempt on partless members and on members that
+// joined mid-run: those samplers legitimately emit nothing while the member
+// owns no partition.
+func (w *chaosWatcher) checkFamilies(target string, joined bool, samples []metrics.Sample) {
 	present := make(map[string]bool, len(samples))
 	for _, sm := range samples {
 		present[sm.Name] = true
@@ -204,7 +222,7 @@ func (w *metricsWatcher) checkFamilies(target string, samples []metrics.Sample) 
 		if present[fam] {
 			continue
 		}
-		if (w.restarted[target] || w.emptied[target]) && strings.HasPrefix(fam, "la_partition_") {
+		if (joined || w.partless[target]) && strings.HasPrefix(fam, "la_partition_") {
 			continue
 		}
 		w.missing[fam] = true
@@ -227,7 +245,7 @@ type counterBaseline struct {
 // a fresh manager and a reopened store at zero — so baselines for partition
 // series absent from this scrape are dropped rather than held against the
 // member. A partition series present in both scrapes must not drop.
-func (w *metricsWatcher) checkMonotonic(target string, samples []metrics.Sample) {
+func (w *chaosWatcher) checkMonotonic(target string, samples []metrics.Sample) {
 	prev := w.last[target]
 	if prev == nil {
 		prev = make(map[string]counterBaseline)
@@ -270,37 +288,31 @@ func seriesKey(sm metrics.Sample) string {
 	return sm.Name + "{" + strings.Join(pairs, ",") + "}"
 }
 
-// noteRestart tells the watcher a killed member is back on target: its
-// counters restarted from zero (fresh process), so the monotonic baseline is
-// dropped and the target is marked for the partition-family exemption.
-func (w *metricsWatcher) noteRestart(target string) {
-	if w == nil {
-		return
-	}
+// noteRestart tells the watcher killed member id is back: its counters
+// restarted from zero (fresh process), so the monotonic baseline is dropped
+// and the member is marked partless. Called before the member answers a
+// single scrape.
+func (w *chaosWatcher) noteRestart(id int) {
+	target := w.targets()[id]
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	delete(w.last, target)
-	w.restarted[target] = true
+	w.partless[target] = true
 }
 
-// noteDrained tells the watcher the member on target is being drained: the
-// planner will migrate it empty, after which its per-partition families are
-// legitimately absent from its scrapes.
-func (w *metricsWatcher) noteDrained(target string) {
-	if w == nil {
-		return
-	}
+// noteDrained tells the watcher member id is being drained: the planner will
+// migrate it empty, after which its per-partition families are legitimately
+// absent from its scrapes.
+func (w *chaosWatcher) noteDrained(id int) {
+	target := w.targets()[id]
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.emptied[target] = true
+	w.partless[target] = true
 }
 
 // noteKill tells the watcher a node just died and which partitions must
 // reappear under a survivor. The next sweep records the mid-kill snapshot.
-func (w *metricsWatcher) noteKill(parts []int) {
-	if w == nil {
-		return
-	}
+func (w *chaosWatcher) noteKill(parts []int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.killPending = true
@@ -309,29 +321,20 @@ func (w *metricsWatcher) noteKill(parts []int) {
 	}
 }
 
-// finalize stops the scrape loop, runs the end-of-run occupancy agreement
-// check against each live member's /stats, and writes the watcher's verdict
-// into the report. The agreement check brackets one fresh scrape between two
-// /stats snapshots so concurrent churn cannot produce a false disagreement.
-func (w *metricsWatcher) finalize(report *ChaosReport) {
-	if w == nil {
-		return
-	}
+// finalize stops the sweeps, takes one last one (a kill the killer resolved
+// after the loop's last sweep must still be seen to reappear, and the final
+// adoptions journaled), and writes the watcher's verdict into the report:
+// the metrics checks, the timeline audit and the migration totals, which
+// count the captured journal's events. It then runs the end-of-run occupancy
+// agreement check against each live member's /stats.
+func (w *chaosWatcher) finalize(report *ChaosReport) {
 	w.stopOnce.Do(func() { close(w.stop) })
 	<-w.done
-	// One more sweep: a kill the killer resolved after the loop's last sweep
-	// (its last one, say, just before the run ends) must still be seen to
-	// reappear.
-	w.mu.Lock()
-	enabled := !w.disabled && w.scrapes > 0
-	w.mu.Unlock()
-	if enabled {
-		w.sweep()
-	}
+	w.sweep()
 
 	w.mu.Lock()
 	report.MetricsScrapes = w.scrapes
-	report.MetricsDisabled = w.disabled
+	report.MetricsDisabled = w.metricsOff
 	report.MetricsMonotonicityViolations = w.monoViol
 	report.MetricsQuarantines = uint64(w.maxQuarantines)
 	report.MetricsMidKillQuarantines = append([]uint64(nil), w.midKill...)
@@ -340,14 +343,39 @@ func (w *metricsWatcher) finalize(report *ChaosReport) {
 	}
 	sort.Strings(report.MetricsFamiliesMissing)
 	report.MetricsAdoptedUnobserved = len(w.watchParts)
-	disabled := w.disabled
-	scrapes := w.scrapes
+	checkOccupancy := !w.metricsOff && w.scrapes > 0
+
+	report.EventsCaptured = len(w.events)
+	counts := make(map[string]int)
+	decisionEpochs := make(map[uint64]bool)
+	for _, ev := range w.events {
+		counts[ev.Type]++
+		if ev.Type == trace.EvFailoverDecision {
+			decisionEpochs[ev.Epoch] = true
+		}
+	}
+	for _, ev := range w.events {
+		if ev.Type != trace.EvEpochBump {
+			continue
+		}
+		if ev.Cause == "" {
+			report.EventsUnexplainedBumps++
+		}
+		if ev.Cause == "steward_reassign" && !decisionEpochs[ev.Epoch] {
+			report.EventsDecisionlessFailovers++
+		}
+	}
+	report.EventCounts = counts
+	report.MigrationsPlanned = uint64(counts[trace.EvMigrationPlan])
+	report.MigrationsStaged = uint64(counts[trace.EvMigrationStaged])
+	report.MigrationsCutover = uint64(counts[trace.EvMigrationCutover])
+	report.MigrationsAborted = uint64(counts[trace.EvMigrationAbort])
 	w.mu.Unlock()
-	if disabled || scrapes == 0 {
+
+	if !checkOccupancy {
 		return
 	}
-
-	for _, target := range w.targets {
+	for _, target := range w.targets() {
 		// Unreachable members (killed nodes) are no disagreement.
 		if msg, _ := CheckOccupancy(w.hc, target); msg != "" {
 			report.MetricsOccupancyDisagreements = append(report.MetricsOccupancyDisagreements, msg)

@@ -224,7 +224,7 @@ func TestCheckMonotonicForgetsVanishedPartitionSeries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := &metricsWatcher{last: make(map[string]map[string]counterBaseline)}
+			w := &chaosWatcher{last: make(map[string]map[string]counterBaseline)}
 			for _, samples := range tc.scrapes {
 				w.checkMonotonic("member", samples)
 			}

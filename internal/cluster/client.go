@@ -23,12 +23,9 @@ type ClientConfig struct {
 	// RouteBackoff is the base pause between unsuccessful rounds, covering
 	// the window in which a failure has happened but the steward has not
 	// pushed the bumped epoch yet. It doubles per round (with jitter) up to
-	// RouteBackoffMax, so the many clients that observe the same member death
-	// at once spread their retry storms out. Zero selects 100ms.
+	// the larger of 1s and itself, so the many clients that observe the same
+	// member death at once spread their retry storms out. Zero selects 100ms.
 	RouteBackoff time.Duration
-	// RouteBackoffMax caps the per-round backoff. Zero selects the larger of
-	// 1s and RouteBackoff.
-	RouteBackoffMax time.Duration
 	// DisableWire forces HTTP for every operation even against members that
 	// advertise a wire endpoint. By default the client speaks the binary
 	// protocol to any member with a WireAddr and falls back to HTTP when the
@@ -45,12 +42,6 @@ func (c ClientConfig) withDefaults() (ClientConfig, error) {
 	}
 	if c.RouteBackoff <= 0 {
 		c.RouteBackoff = 100 * time.Millisecond
-	}
-	if c.RouteBackoffMax <= 0 {
-		c.RouteBackoffMax = time.Second
-		if c.RouteBackoff > c.RouteBackoffMax {
-			c.RouteBackoffMax = c.RouteBackoff
-		}
 	}
 	return c, nil
 }
@@ -194,11 +185,12 @@ func (c *Client) Counters() ClientCounters {
 }
 
 // backoffSleep pauses between routing rounds: RouteBackoff doubled per round
-// and jittered, capped at RouteBackoffMax, so clients hammering a cluster
-// mid-failover spread out instead of sweeping the table in lockstep.
+// and jittered, capped at the larger of 1s and RouteBackoff, so clients
+// hammering a cluster mid-failover spread out instead of sweeping the table
+// in lockstep.
 func (c *Client) backoffSleep(round int) {
 	c.backoffs.Add(1)
-	time.Sleep(wire.Backoff(c.cfg.RouteBackoff, c.cfg.RouteBackoffMax, round, &c.jitter))
+	time.Sleep(wire.Backoff(c.cfg.RouteBackoff, max(time.Second, c.cfg.RouteBackoff), round, &c.jitter))
 }
 
 // nextRID mints one request id per routed operation. The high bit is set so

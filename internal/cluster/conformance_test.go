@@ -10,6 +10,7 @@ import (
 	"github.com/levelarray/levelarray/internal/core"
 	"github.com/levelarray/levelarray/internal/lease"
 	"github.com/levelarray/levelarray/internal/server"
+	"github.com/levelarray/levelarray/internal/trace"
 	"github.com/levelarray/levelarray/internal/wire"
 )
 
@@ -201,7 +202,7 @@ func conformanceScript(t *testing.T, b *confBackend, c confConn) {
 		// Node only — 412: every write with another epoch, via the header or
 		// the frame, answers the node's current epoch, counts once, and
 		// changes nothing.
-		cur, rejects := b.node.Epoch(), b.node.staleEpochRejects.Load()
+		cur, rejects := b.node.Epoch(), b.node.events.Count(trace.EvStaleEpoch)
 		for step, res := range map[string]server.Answer{
 			"acquire at a stale epoch": c.acquire(cur+7, 60_000),
 			"renew at a stale epoch":   c.renew(cur+7, g.Grant.Name, g.Grant.Token, 60_000),
@@ -212,7 +213,7 @@ func conformanceScript(t *testing.T, b *confBackend, c confConn) {
 				t.Fatalf("%s: %+v, want the node's epoch %d and no grant", step, res, cur)
 			}
 		}
-		if got := b.node.staleEpochRejects.Load() - rejects; got != 3 {
+		if got := b.node.events.Count(trace.EvStaleEpoch) - rejects; got != 3 {
 			t.Fatalf("stale_epoch_rejects moved by %d, want 3", got)
 		}
 		want(t, "renew at the current epoch", c.renew(cur, g.Grant.Name, g.Grant.Token, 60_000), 200, "", 0)

@@ -9,13 +9,18 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/levelarray/levelarray/internal/activity"
+	"github.com/levelarray/levelarray/internal/core"
 	"github.com/levelarray/levelarray/internal/lease"
 	"github.com/levelarray/levelarray/internal/server"
+	"github.com/levelarray/levelarray/internal/trace"
 	"github.com/levelarray/levelarray/internal/wire"
 )
 
@@ -165,7 +170,7 @@ func TestDurableRestartAfterFailoverFenced(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error != ErrCodeStaleEpoch {
 		t.Fatalf("fence body %q err %v, want %s", rec.Body.String(), err, ErrCodeStaleEpoch)
 	}
-	if node.staleEpochRejects.Load() == 0 {
+	if node.events.Count(trace.EvStaleEpoch) == 0 {
 		t.Fatal("stale-epoch reject not counted")
 	}
 
@@ -412,5 +417,95 @@ func TestChaosKillRestartResumed(t *testing.T) {
 	}
 	if report.OrphanEvents != 0 {
 		t.Fatalf("%d leases orphaned by kills that ended none", report.OrphanEvents)
+	}
+}
+
+// TestChaosRestartsJoinedVictim kills and restarts a member that joined
+// mid-run: two durable members grow to three, and seed 2 makes the joiner
+// the killer's first victim. The restart bookkeeping and the watcher find
+// the joiner in the live member list, and the run stays violation-free.
+func TestChaosRestartsJoinedVictim(t *testing.T) {
+	l := elasticLocal(t, 2, 4, 128, func(cfg *LocalConfig) {
+		cfg.DataDir = t.TempDir()
+		cfg.Node.DefaultTTL = 400 * time.Millisecond
+		cfg.Node.MaxTTL = 400 * time.Millisecond
+	})
+	report, err := RunChaos(ChaosConfig{
+		Local:        l,
+		Clients:      8,
+		Acquires:     2000,
+		TTL:          400 * time.Millisecond,
+		HoldMean:     time.Millisecond,
+		CrashPercent: 10,
+		RenewPercent: 20,
+		Seed:         2,
+		KillEvery:    time.Second,
+		MinAlive:     2,
+		RestartAfter: 300 * time.Millisecond,
+		GrowTo:       3,
+		GrowEvery:    300 * time.Millisecond,
+		ReclaimSlack: 400 * time.Millisecond,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("RunChaos: %v", err)
+	}
+	if v := report.Violations(); v != nil {
+		t.Fatalf("chaos violations: %v\nreport: %+v", v, report)
+	}
+	if report.Joins != 1 || len(report.KilledNodes) == 0 || report.KilledNodes[0] != 2 {
+		t.Fatalf("joins %d, killed %v: want the joiner, member 2, killed first", report.Joins, report.KilledNodes)
+	}
+	if report.Restarts == 0 {
+		t.Fatalf("no killed member restarted: %+v", report)
+	}
+}
+
+// TestAdoptWithoutJournalLeavesPartitionUnserved: a durable node that
+// cannot open an adopted partition's journal leaves the partition unserved
+// (421), as it does one whose array fails to build. Served without its
+// journal, the partition's grants would be forgotten by a crash, and a
+// restart would replay it empty with no quarantine.
+func TestAdoptWithoutJournalLeavesPartitionUnserved(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "node0")
+	node, err := NewNode(NodeConfig{
+		NodeID:     0,
+		Peers:      []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
+		Partitions: 2,
+		NewPartitionArray: func(p int) (activity.Array, error) {
+			return core.New(core.Config{Capacity: 64, Epsilon: 1, Seed: uint64(p) + 1})
+		},
+		DataDir: dir,
+		Logf:    t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	defer node.Close()
+	tb := node.Table()
+	p := tb.PartitionsOf(1)[0]
+	next, ok := tb.Move(p, 0)
+	if !ok {
+		t.Fatalf("moving partition %d to node 0 rejected", p)
+	}
+	// The data directory becomes a regular file: no journal can open in it.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Adopt(next); err != nil {
+		t.Fatalf("Adopt: %v", err)
+	}
+	if got := node.Table().Assignment[p]; got != 0 {
+		t.Fatalf("partition %d assigned to node %d after the adoption, want 0", p, got)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/release", strings.NewReader(fmt.Sprintf(`{"name":%d,"token":1}`, p*tb.Stride)))
+	req.Header.Set("Content-Type", "application/json")
+	rec := httptest.NewRecorder()
+	node.ServeHTTP(rec, req)
+	if rec.Code != http.StatusMisdirectedRequest {
+		t.Fatalf("release in partition %d adopted without a journal: status %d (%s), want 421", p, rec.Code, rec.Body.String())
 	}
 }

@@ -174,7 +174,7 @@ func (n *Node) stewardGate(w http.ResponseWriter, r *http.Request, body any) boo
 		return false
 	}
 	var reply json.RawMessage
-	status, _, err := server.PostJSON(n.cfg.HTTPClient, st.Addr+r.URL.Path, forwarded, body, &reply, &reply)
+	status, _, err := server.PostJSON(peerClient, st.Addr+r.URL.Path, forwarded, body, &reply, &reply)
 	if err != nil {
 		server.WriteUnavailable(w, ErrCodeNotOwner, n.cfg.ProbeInterval)
 		return false
@@ -309,7 +309,7 @@ func (n *Node) migratePrepare(req MigratePrepareRequest) (MigrateReply, int) {
 
 	snap := mgr.ExportState(uint32(pid), req.Epoch)
 	var rep MigrateReply
-	status, _, err := server.PostJSON(n.cfg.HTTPClient, req.TargetAddr+"/migrate/stage", nil,
+	status, _, err := server.PostJSON(peerClient, req.TargetAddr+"/migrate/stage", nil,
 		MigrateStageRequest{Partition: pid, Epoch: req.Epoch, PrevOwner: n.cfg.NodeID, Snapshot: snap}, &rep, &rep)
 	if err != nil || status/100 != 2 {
 		n.abortMigration(pid, req.Epoch, "ship_failed")
@@ -318,7 +318,8 @@ func (n *Node) migratePrepare(req MigratePrepareRequest) (MigrateReply, int) {
 		}
 		return MigrateReply{Epoch: cur, Error: fmt.Sprintf("stage status %d: %s", status, rep.Error)}, http.StatusBadGateway
 	}
-	n.migStaged.Add(1)
+	n.events.Eventf(trace.EvMigrationStaged, req.Epoch, pid, "shipped",
+		"partition %d fenced and shipped to node %d (%d sessions)", pid, req.TargetID, len(snap.Sessions))
 	return MigrateReply{OK: true, Epoch: cur, Sessions: len(snap.Sessions)}, http.StatusOK
 }
 
@@ -377,7 +378,6 @@ func (n *Node) abortMigration(p int, epoch uint64, cause string) bool {
 	}
 	n.mu.Unlock()
 	if aborted {
-		n.migAborted.Add(1)
 		n.events.Eventf(trace.EvMigrationAbort, epoch, p, cause,
 			"migration fence released; serving partition %d again", p)
 	}
@@ -460,7 +460,7 @@ func (n *Node) rebalanceOnce(cause string) RebalanceResponse {
 			var stats NodeStatsResponse
 			if m.ID == n.cfg.NodeID {
 				stats = n.statsResponse()
-			} else if status, err := server.GetJSON(n.cfg.HTTPClient, m.Addr+"/stats", &stats); err != nil || status/100 != 2 {
+			} else if status, err := server.GetJSON(peerClient, m.Addr+"/stats", &stats); err != nil || status/100 != 2 {
 				return
 			}
 			for _, ps := range stats.Partitions {
@@ -498,7 +498,6 @@ func (n *Node) executeMigration(t Table, plan rebalance.Plan) error {
 	if !ok {
 		return fmt.Errorf("cluster: plan %s rejected by table", plan)
 	}
-	n.migPlanned.Add(1)
 	n.events.Eventf(trace.EvMigrationPlan, next.Epoch, plan.Partition, plan.Reason,
 		"moving partition %d: node %d -> node %d; epoch %d -> %d", plan.Partition, plan.From, plan.To, t.Epoch, next.Epoch)
 
@@ -514,7 +513,7 @@ func (n *Node) executeMigration(t Table, plan rebalance.Plan) error {
 		}
 	} else {
 		var rep MigrateReply
-		status, _, err := server.PostJSON(n.cfg.HTTPClient, t.Members[plan.From].Addr+"/migrate/prepare", nil, prep, &rep, &rep)
+		status, _, err := server.PostJSON(peerClient, t.Members[plan.From].Addr+"/migrate/prepare", nil, prep, &rep, &rep)
 		if err != nil {
 			return fmt.Errorf("cluster: migration prepare on node %d: %w", plan.From, err)
 		}
@@ -540,6 +539,6 @@ func (n *Node) sendAbort(src Member, partition int, epoch uint64, cause string) 
 		return
 	}
 	var rep MigrateReply
-	_, _, _ = server.PostJSON(n.cfg.HTTPClient, src.Addr+"/migrate/abort", nil,
+	_, _, _ = server.PostJSON(peerClient, src.Addr+"/migrate/abort", nil,
 		MigrateAbortRequest{Partition: partition, Epoch: epoch, Cause: cause}, &rep, &rep)
 }

@@ -61,12 +61,12 @@ func stewardTable(l *Local) Table {
 	return l.maxEpochTable()
 }
 
-// migrationsCut sums completed cutovers across the live members.
+// migrationsCut sums completed cutovers across the live members' journals.
 func migrationsCut(l *Local) uint64 {
 	var sum uint64
 	for _, id := range l.AliveIDs() {
 		if n := l.Node(id); n != nil {
-			sum += n.migCutover.Load()
+			sum += n.events.Count(trace.EvMigrationCutover)
 		}
 	}
 	return sum
@@ -241,10 +241,10 @@ func TestMigrateAbortUnfences(t *testing.T) {
 	if rep.OK || st/100 == 2 {
 		t.Fatalf("prepare against a dead target succeeded: %+v (status %d)", rep, st)
 	}
-	if got := src.migAborted.Load(); got != 1 {
+	if got := src.events.Count(trace.EvMigrationAbort); got != 1 {
 		t.Fatalf("aborted migrations = %d, want 1", got)
 	}
-	if got := src.migStaged.Load(); got != 0 {
+	if got := src.events.Count(trace.EvMigrationStaged); got != 0 {
 		t.Fatalf("staged migrations = %d, want 0", got)
 	}
 	// The fence is gone: the lease on the partition renews immediately.
@@ -376,8 +376,14 @@ func TestChaosGrowAndDrain(t *testing.T) {
 	if report.Drains != 1 || report.DrainStuck != 0 {
 		t.Fatalf("drains = %d (stuck %d), want exactly 1 clean retirement", report.Drains, report.DrainStuck)
 	}
-	if report.MigrationsCutover == 0 {
-		t.Fatal("grow + drain completed without a single migration cutover")
+	if !(report.MigrationsPlanned >= report.MigrationsStaged && report.MigrationsStaged >= report.MigrationsCutover && report.MigrationsCutover > 0) {
+		t.Fatalf("migrations planned/staged/cutover %d/%d/%d, want planned >= staged >= cutover > 0",
+			report.MigrationsPlanned, report.MigrationsStaged, report.MigrationsCutover)
+	}
+	// The report counts the journal the watcher captured, joiners' and the
+	// drained member's included: it must hold every cutover the members count.
+	if live := migrationsCut(l); report.MigrationsCutover < live {
+		t.Fatalf("journal captured %d migration cutovers, the live members count %d", report.MigrationsCutover, live)
 	}
 	// The drained member must be gone from the serving set; the joiners must
 	// be serving partitions.

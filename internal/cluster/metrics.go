@@ -5,7 +5,10 @@ package cluster
 // membership families on the same registry: table epoch, adoption and
 // quarantine counters, prober activity, and per-partition occupancy sampled
 // under the table lock at scrape time — the hot paths never touch a map or
-// a label; everything dynamic is read when /metrics is scraped.
+// a label; everything dynamic is read when /metrics is scraped. Every
+// counter of a control-plane transition (adoptions, quarantines, stale-epoch
+// rejects, migration phases) reads the event journal's total of the
+// transition's event, so /metrics, /stats and /debug/events count it once.
 
 import (
 	"strconv"
@@ -14,6 +17,7 @@ import (
 	"github.com/levelarray/levelarray/internal/lease"
 	"github.com/levelarray/levelarray/internal/metrics"
 	"github.com/levelarray/levelarray/internal/server"
+	"github.com/levelarray/levelarray/internal/trace"
 	"github.com/levelarray/levelarray/internal/wal"
 )
 
@@ -29,8 +33,9 @@ func (n *Node) registerMetrics() {
 	reg.GaugeFunc("la_cluster_epoch", "Current membership-table epoch.", func() float64 {
 		return float64(n.Epoch())
 	})
-	reg.CounterFunc("la_cluster_adoptions_total", "Membership tables adopted (epoch advances).", n.adoptions.Load)
-	reg.CounterFunc("la_cluster_quarantines_total", "Partitions adopted under failover quarantine.", n.quarantines.Load)
+	journaled := func(typ string) func() uint64 { return func() uint64 { return n.events.Count(typ) } }
+	reg.CounterFunc("la_cluster_adoptions_total", "Membership tables adopted (epoch advances).", journaled(trace.EvEpochBump))
+	reg.CounterFunc("la_cluster_quarantines_total", "Partitions adopted under failover quarantine.", journaled(trace.EvQuarantineStart))
 	reg.CounterFunc("la_cluster_probes_total", "Peer health probes sent.", n.probes.Load)
 	reg.CounterFunc("la_cluster_probe_misses_total", "Peer health probes that failed.", n.probeMisses.Load)
 	reg.CounterFunc("la_cluster_failovers_total", "Steward reassignments this node performed.", n.failovers.Load)
@@ -41,18 +46,18 @@ func (n *Node) registerMetrics() {
 		return time.Duration(n.recoveryNanos.Load()).Seconds()
 	})
 
-	// The routing fences already have dedicated atomics on the node; expose
-	// them as label values of the shared fence family.
-	m.FenceFunc(ErrCodeStaleEpoch, n.staleEpochRejects.Load)
+	// The routing fences are counted on the node (stale epochs by the
+	// journal); expose them as label values of the shared fence family.
+	m.FenceFunc(ErrCodeStaleEpoch, journaled(trace.EvStaleEpoch))
 	m.FenceFunc(ErrCodeNotOwner, n.misroutes.Load)
 
 	// Migration lifecycle, one series per phase: planned >= staged >= cutover,
 	// planned = cutover + aborted when the cluster is quiescent.
 	reg.Sampler("la_cluster_migrations_total", "Partition migrations by lifecycle phase.", metrics.TypeCounter, func(emit metrics.Emit) {
-		emit(float64(n.migPlanned.Load()), metrics.L("phase", "planned"))
-		emit(float64(n.migStaged.Load()), metrics.L("phase", "staged"))
-		emit(float64(n.migCutover.Load()), metrics.L("phase", "cutover"))
-		emit(float64(n.migAborted.Load()), metrics.L("phase", "aborted"))
+		emit(float64(n.events.Count(trace.EvMigrationPlan)), metrics.L("phase", "planned"))
+		emit(float64(n.events.Count(trace.EvMigrationStaged)), metrics.L("phase", "staged"))
+		emit(float64(n.events.Count(trace.EvMigrationCutover)), metrics.L("phase", "cutover"))
+		emit(float64(n.events.Count(trace.EvMigrationAbort)), metrics.L("phase", "aborted"))
 	})
 	// Membership by lifecycle state, sampled from the current table.
 	reg.Sampler("la_cluster_members", "Cluster members by lifecycle state.", metrics.TypeGauge, func(emit metrics.Emit) {

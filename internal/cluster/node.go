@@ -85,7 +85,8 @@ type PartitionStats struct {
 
 // MigrationStats counts one node's live-migration activity by phase: plans
 // it stewarded, snapshots it shipped as a source, cutovers it completed as a
-// target, and plans unwound before cutover.
+// target, and plans unwound before cutover. Each is its journal's total of
+// the phase's event.
 type MigrationStats struct {
 	Planned uint64 `json:"planned"`
 	Staged  uint64 `json:"staged"`
@@ -150,9 +151,6 @@ type NodeConfig struct {
 	// DownAfter is the consecutive probe misses before a peer is suspected.
 	// Zero selects 3.
 	DownAfter int
-	// HTTPClient is used for probes, pulls and pushes. Nil selects a client
-	// with a 2s timeout.
-	HTTPClient *http.Client
 	// DataDir enables durable lease state: each owned partition journals its
 	// transitions to DataDir/p<ID> (WAL + periodic snapshots) and the node
 	// persists every adopted membership table to DataDir/node.json. A
@@ -185,10 +183,6 @@ type NodeConfig struct {
 	// operation (both protocols) records a phase-attributed span, served at
 	// GET /debug/trace and /debug/trace/slow.
 	Tracer *trace.Recorder
-	// Events overrides the node's control-plane journal. Nil builds one
-	// automatically (ring of 1024, mirrored to Logf, durable under DataDir),
-	// so GET /debug/events always answers.
-	Events *trace.EventLog
 	// Clock overrides the time source for quarantine arithmetic (tests).
 	// Nil selects time.Now. The lease managers keep their own Config.Clock.
 	Clock func() time.Time
@@ -198,11 +192,6 @@ type NodeConfig struct {
 	// may be left empty; they are derived from the table's members. A
 	// recorded table in DataDir still wins (restart of a joined node).
 	Bootstrap *Table
-	// RejoinAfter is the number of consecutive healthy probes of a down
-	// member before the steward re-ups it (live, owning nothing; the planner
-	// hands it partitions again). Zero selects 2; negative disables rejoin,
-	// restoring the crash-stop Down-sticky behavior.
-	RejoinAfter int
 	// RebalanceEvery is the steward's migration-planner cadence. Each round
 	// observes every serving member's per-partition load factors and performs
 	// at most one move: emptying draining members first, then filling live
@@ -247,9 +236,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	if c.DownAfter <= 0 {
 		c.DownAfter = 3
 	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{Timeout: 2 * time.Second}
-	}
 	if c.WALSyncInterval <= 0 {
 		c.WALSyncInterval = 25 * time.Millisecond
 	}
@@ -262,9 +248,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
-	if c.RejoinAfter == 0 {
-		c.RejoinAfter = 2
-	}
 	if c.RebalanceEvery == 0 {
 		c.RebalanceEvery = time.Second
 	}
@@ -273,6 +256,15 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	}
 	return c
 }
+
+// peerClient carries every node-to-node call: probes, table pulls and
+// pushes, steward proxying and migration control.
+var peerClient = &http.Client{Timeout: 2 * time.Second}
+
+// rejoinAfter is the number of consecutive healthy probes of a down member
+// before the steward re-ups it (live, owning nothing; the planner hands it
+// partitions again).
+const rejoinAfter = 2
 
 // partition is one owned slice of the namespace: a lease manager over its
 // own array, plus the quarantine gate applied after a failover adoption.
@@ -343,10 +335,10 @@ type Node struct {
 	h    http.Handler
 	wire *server.WireBackend
 
-	// events is the control-plane journal (never nil after NewNode);
-	// ownEvents marks a journal the node built itself and must close.
-	events    *trace.EventLog
-	ownEvents bool
+	// events is the control-plane journal. It is the one record of every
+	// transition the node takes: /stats and the la_cluster_* transition
+	// counters read its per-type totals.
+	events *trace.EventLog
 
 	mu       sync.RWMutex
 	table    Table
@@ -358,18 +350,8 @@ type Node struct {
 	// the moment the partition is adopted or superseded.
 	staged map[int]stagedSnapshot
 
-	rr atomic.Uint64 // acquire round-robin over owned partitions
-
-	adoptions         atomic.Uint64
-	quarantines       atomic.Uint64
-	misroutes         atomic.Uint64
-	staleEpochRejects atomic.Uint64
-
-	// Migration telemetry (see MigrationStats).
-	migPlanned atomic.Uint64
-	migStaged  atomic.Uint64
-	migCutover atomic.Uint64
-	migAborted atomic.Uint64
+	rr        atomic.Uint64 // acquire round-robin over owned partitions
+	misroutes atomic.Uint64 // 421s: names of partitions not served here
 
 	// loads is the steward's planner cache, fed concurrently by per-member
 	// stats fetches each planner round.
@@ -467,27 +449,16 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 
 	n := &Node{
-		cfg:      cfg,
+		cfg: cfg,
+		// The journal exists before any partition state is touched, so
+		// boot-time transitions (replay summaries) are its first entries.
+		events:   trace.NewEventLog(trace.EventConfig{Node: cfg.NodeID, Sink: cfg.Logf, Dir: cfg.DataDir, Clock: cfg.Clock}),
 		parts:    make(map[int]*partition),
 		staged:   make(map[int]stagedSnapshot),
 		loads:    rebalance.NewCache(),
 		refreshC: make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
-	}
-
-	// The control-plane journal exists before any partition state is touched
-	// so boot-time transitions (fenced partitions, replay summaries) are the
-	// journal's first entries rather than lost to plain logs.
-	n.events = cfg.Events
-	if n.events == nil {
-		n.events = trace.NewEventLog(trace.EventConfig{
-			Node:  cfg.NodeID,
-			Sink:  cfg.Logf,
-			Dir:   cfg.DataDir,
-			Clock: cfg.Clock,
-		})
-		n.ownEvents = true
 	}
 
 	// A durable node rejoins at the last table it adopted: the recorded
@@ -523,30 +494,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	// Build the initially owned partitions; the first array fixes the
 	// stride every member must agree on (identical factories guarantee it).
 	stride, capacity := 0, 0
-	build := func(p int, epoch uint64, journal bool) (*partition, error) {
-		arr, err := cfg.NewPartitionArray(p)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: building partition %d: %w", p, err)
-		}
-		lcfg := leaseConfigFor(cfg.Lease, epoch)
-		var store *wal.Store
-		if journal && cfg.DataDir != "" {
-			store, err = wal.Open(n.partDir(p), cfg.WALSync, cfg.WALSyncInterval)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: opening wal for partition %d: %w", p, err)
-			}
-			lcfg.Journal = store
-		}
-		mgr, err := lease.NewManager(arr, lcfg)
-		if err != nil {
-			if store != nil {
-				_ = store.Close()
-			}
-			return nil, err
-		}
-		return &partition{id: p, mgr: mgr, store: store}, nil
-	}
-
 	// Initial ownership: the recorded assignment when one survived, the
 	// round-robin deal otherwise. A node whose own record marks it down was
 	// failed over before this restart: it owns nothing until a newer table
@@ -578,7 +525,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		if !owned[p] {
 			continue
 		}
-		part, err := build(p, initialEpoch, true)
+		part, err := n.openPartition(p, initialEpoch)
 		if err != nil {
 			return nil, err
 		}
@@ -606,13 +553,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if stride == 0 {
 		// More members than partitions (or nothing owned): this node still
 		// needs the shared geometry for its table.
-		probe, err := build(0, initialEpoch, false)
+		arr, err := cfg.NewPartitionArray(0)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("cluster: building partition 0: %w", err)
 		}
-		stride = probe.mgr.Size()
-		capacity = probe.mgr.Capacity()
-		probe.mgr.Close()
+		stride, capacity = arr.Size(), arr.Capacity()
 	}
 
 	switch {
@@ -673,10 +618,32 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 // fewer than 2^32 tokens per epoch and epochs stay below 2^16.
 const tokenEpochShift = 32
 
-// leaseConfigFor stamps the owning epoch into the manager's token space.
-func leaseConfigFor(base lease.Config, epoch uint64) lease.Config {
-	base.TokenSeqBase = epoch << tokenEpochShift
-	return base
+// openPartition builds partition id's incarnation under epoch: a fresh
+// array, a manager minting from the epoch's token space and, on a durable
+// node, the partition's journal. A partition that cannot be built whole is
+// not served, so a durable node never serves one without its journal.
+func (n *Node) openPartition(id int, epoch uint64) (*partition, error) {
+	arr, err := n.cfg.NewPartitionArray(id)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: building partition %d: %w", id, err)
+	}
+	lcfg := n.cfg.Lease
+	lcfg.TokenSeqBase = epoch << tokenEpochShift
+	var store *wal.Store
+	if n.cfg.DataDir != "" {
+		if store, err = wal.Open(n.partDir(id), n.cfg.WALSync, n.cfg.WALSyncInterval); err != nil {
+			return nil, fmt.Errorf("cluster: opening wal for partition %d: %w", id, err)
+		}
+		lcfg.Journal = store
+	}
+	mgr, err := lease.NewManager(arr, lcfg)
+	if err != nil {
+		if store != nil {
+			_ = store.Close()
+		}
+		return nil, err
+	}
+	return &partition{id: id, mgr: mgr, store: store}, nil
 }
 
 // partDir is the durable state directory of one partition.
@@ -845,7 +812,6 @@ func (n *Node) adoptTable(t Table, cause string) error {
 			// The partition stayed ours under a newer epoch: whatever plan
 			// fenced it died with the old epoch. Unfence and resume serving.
 			part.migrating = false
-			n.migAborted.Add(1)
 			n.events.Eventf(trace.EvMigrationAbort, t.Epoch, id, "epoch_superseded",
 				"migration fence released: partition %d kept under epoch %d", id, t.Epoch)
 		}
@@ -864,7 +830,6 @@ func (n *Node) adoptTable(t Table, cause string) error {
 	}
 	n.rebuildOwnedLocked()
 	n.table = t
-	n.adoptions.Add(1)
 	if n.cfg.DataDir != "" {
 		if err := persistNodeTable(n.cfg.DataDir, t); err != nil {
 			n.cfg.Logf("cluster: node %d: persisting table epoch %d: %v", n.cfg.NodeID, t.Epoch, err)
@@ -877,9 +842,10 @@ func (n *Node) adoptTable(t Table, cause string) error {
 // migration target installs the snapshot its source shipped for this epoch
 // and serves immediately; every other adoption (a failover from a dead
 // owner) starts empty behind the MaxTTL quarantine, since the dead owner's
-// leases can only be waited out. Build failures leave the partition unserved
-// (clients see 421s) rather than rejecting the whole table; the epoch still
-// advances. Callers hold mu.
+// leases can only be waited out. A partition that cannot be opened, its
+// journal on a durable node included, is left unserved (clients see 421s)
+// rather than rejecting the whole table; the epoch still advances. Callers
+// hold mu.
 func (n *Node) adoptPartitionLocked(id int, t Table, prevOwner int, now time.Time, cause string) {
 	if n.cfg.DataDir != "" {
 		// A fresh incarnation: any state left from a previous ownership of
@@ -888,30 +854,11 @@ func (n *Node) adoptPartitionLocked(id int, t Table, prevOwner int, now time.Tim
 			n.cfg.Logf("cluster: node %d epoch %d: clearing stale state of partition %d: %v", n.cfg.NodeID, t.Epoch, id, err)
 		}
 	}
-	arr, err := n.cfg.NewPartitionArray(id)
+	part, err := n.openPartition(id, t.Epoch)
 	if err != nil {
-		n.cfg.Logf("cluster: node %d epoch %d: building adopted partition %d failed: %v", n.cfg.NodeID, t.Epoch, id, err)
+		n.cfg.Logf("cluster: node %d epoch %d: adopted partition %d left unserved: %v", n.cfg.NodeID, t.Epoch, id, err)
 		return
 	}
-	lcfg := leaseConfigFor(n.cfg.Lease, t.Epoch)
-	var store *wal.Store
-	if n.cfg.DataDir != "" {
-		store, err = wal.Open(n.partDir(id), n.cfg.WALSync, n.cfg.WALSyncInterval)
-		if err != nil {
-			n.cfg.Logf("cluster: node %d epoch %d: wal for adopted partition %d failed: %v", n.cfg.NodeID, t.Epoch, id, err)
-		} else {
-			lcfg.Journal = store
-		}
-	}
-	mgr, err := lease.NewManager(arr, lcfg)
-	if err != nil {
-		if store != nil {
-			_ = store.Close()
-		}
-		n.cfg.Logf("cluster: node %d epoch %d: manager for adopted partition %d failed: %v", n.cfg.NodeID, t.Epoch, id, err)
-		return
-	}
-	part := &partition{id: id, mgr: mgr, store: store}
 
 	cutover := false
 	if st, ok := n.staged[id]; ok {
@@ -922,22 +869,20 @@ func (n *Node) adoptPartitionLocked(id int, t Table, prevOwner int, now time.Tim
 					n.cfg.NodeID, t.Epoch, id, err)
 			} else {
 				cutover = true
-				n.migCutover.Add(1)
 			}
 		}
 	}
 	if !cutover {
 		part.quarantineUntil = now.Add(n.cfg.Quarantine)
-		n.quarantines.Add(1)
 	}
 	if n.leasesRunning() {
-		mgr.Start()
+		part.mgr.Start()
 		part.startCheckpoints(n)
 	}
 	n.parts[id] = part
 	if cutover {
 		n.events.Eventf(trace.EvMigrationCutover, t.Epoch, id, cause,
-			"cutover: installed snapshot shipped by node %d (%d sessions live, no quarantine)", prevOwner, mgr.Active())
+			"cutover: installed snapshot shipped by node %d (%d sessions live, no quarantine)", prevOwner, part.mgr.Active())
 	} else {
 		n.events.Eventf(trace.EvQuarantineStart, t.Epoch, id, cause,
 			"adopted empty; quarantined until %v", part.quarantineUntil.Format(time.TimeOnly))
@@ -1042,9 +987,7 @@ func (n *Node) shutdown(clean bool) {
 	n.mu.Lock()
 	n.closeParts(n.table.Epoch, clean)
 	n.mu.Unlock()
-	if n.ownEvents {
-		n.events.Close()
-	}
+	n.events.Close()
 }
 
 // requestRefresh nudges the prober to pull tables from peers; non-blocking.

@@ -40,8 +40,8 @@ func (n *Node) probeLoop() {
 // probeOnce probes every peer, pulls newer tables it learns of, and — when
 // this node is the steward — admits recovered or joining members and
 // reassigns the partitions of peers that missed DownAfter consecutive
-// probes. Down members are probed too (unless rejoin is disabled): one that
-// answers again is a rejoin candidate rather than down-sticky forever.
+// probes. Down members are probed too: one that answers again is a rejoin
+// candidate rather than down-sticky forever.
 func (n *Node) probeOnce(misses, recovers map[int]int) {
 	t := n.Table()
 	self := n.cfg.NodeID
@@ -57,12 +57,9 @@ func (n *Node) probeOnce(misses, recovers map[int]int) {
 		if st == StateDown {
 			// Recovery probing only: a down member owns nothing, so misses
 			// cost nothing, and consecutive answers feed the rejoin counter.
-			if n.cfg.RejoinAfter < 0 {
-				continue
-			}
 			var health HealthResponse
 			n.probes.Add(1)
-			status, err := server.GetJSON(n.cfg.HTTPClient, m.Addr+"/healthz", &health)
+			status, err := server.GetJSON(peerClient, m.Addr+"/healthz", &health)
 			if err == nil && status/100 == 2 {
 				recovers[m.ID]++
 				if health.Epoch > t.Epoch {
@@ -76,7 +73,7 @@ func (n *Node) probeOnce(misses, recovers map[int]int) {
 		}
 		var health HealthResponse
 		n.probes.Add(1)
-		status, err := server.GetJSON(n.cfg.HTTPClient, m.Addr+"/healthz", &health)
+		status, err := server.GetJSON(peerClient, m.Addr+"/healthz", &health)
 		if err == nil && status/100 == 2 {
 			misses[m.ID] = 0
 			oks[m.ID] = true
@@ -172,7 +169,7 @@ func (n *Node) probeOnce(misses, recovers map[int]int) {
 
 // stewardAdmissions is the steward's membership upkeep each probe round:
 // joining members that answered this round's probe are promoted to live
-// (the planner then fills them), and down members that answered RejoinAfter
+// (the planner then fills them), and down members that answered rejoinAfter
 // consecutive probes rejoin as live with no partitions instead of staying
 // down-sticky. Non-stewards return the table unchanged.
 func (n *Node) stewardAdmissions(t Table, oks map[int]bool, recovers map[int]int) Table {
@@ -196,7 +193,7 @@ func (n *Node) stewardAdmissions(t Table, oks map[int]bool, recovers map[int]int
 				"member %d answered probes; joining -> live, epoch %d -> %d", m.ID, cur.Epoch, nt.Epoch)
 			cur, changed = nt, true
 		case StateDown:
-			if n.cfg.RejoinAfter < 0 || recovers[m.ID] < n.cfg.RejoinAfter {
+			if recovers[m.ID] < rejoinAfter {
 				continue
 			}
 			nt, ok := cur.Rejoin(m.ID, now)
@@ -242,7 +239,7 @@ func (n *Node) pushTable(t Table) {
 			defer n.pushes.Done()
 			n.tablePushes.Add(1)
 			var reply EpochResponse
-			if _, _, err := server.PostJSON(n.cfg.HTTPClient, addr+"/cluster", nil, t, &reply, &reply); err != nil {
+			if _, _, err := server.PostJSON(peerClient, addr+"/cluster", nil, t, &reply, &reply); err != nil {
 				n.cfg.Logf("cluster: node %d: push epoch %d to %s failed: %v", n.cfg.NodeID, t.Epoch, addr, err)
 			}
 		}(m.Addr)
@@ -252,7 +249,7 @@ func (n *Node) pushTable(t Table) {
 // pullFrom fetches one peer's table and adopts it if newer.
 func (n *Node) pullFrom(addr string) {
 	var t Table
-	if status, err := server.GetJSON(n.cfg.HTTPClient, addr+"/cluster", &t); err != nil || status/100 != 2 {
+	if status, err := server.GetJSON(peerClient, addr+"/cluster", &t); err != nil || status/100 != 2 {
 		return
 	}
 	if err := n.adoptTable(t, "anti_entropy_pull"); err == nil {

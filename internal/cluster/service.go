@@ -48,7 +48,6 @@ func (n *Node) fence(c server.Call) error {
 	if c.Epoch > cur {
 		n.requestRefresh()
 	}
-	n.staleEpochRejects.Add(1)
 	n.events.Emit(trace.Event{
 		Type: trace.EvStaleEpoch, Level: trace.LevelDebug,
 		Epoch: cur, Partition: -1, Cause: "request_epoch", RID: c.RID(),
@@ -362,15 +361,15 @@ func (n *Node) statsResponse() NodeStatsResponse {
 		NodeID:            n.cfg.NodeID,
 		Epoch:             n.table.Epoch,
 		TickMillis:        n.cfg.Lease.TickInterval.Milliseconds(),
-		Adoptions:         n.adoptions.Load(),
-		Quarantines:       n.quarantines.Load(),
+		Adoptions:         n.events.Count(trace.EvEpochBump),
+		Quarantines:       n.events.Count(trace.EvQuarantineStart),
 		Misroutes:         n.misroutes.Load(),
-		StaleEpochRejects: n.staleEpochRejects.Load(),
+		StaleEpochRejects: n.events.Count(trace.EvStaleEpoch),
 		Migrations: MigrationStats{
-			Planned: n.migPlanned.Load(),
-			Staged:  n.migStaged.Load(),
-			Cutover: n.migCutover.Load(),
-			Aborted: n.migAborted.Load(),
+			Planned: n.events.Count(trace.EvMigrationPlan),
+			Staged:  n.events.Count(trace.EvMigrationStaged),
+			Cutover: n.events.Count(trace.EvMigrationCutover),
+			Aborted: n.events.Count(trace.EvMigrationAbort),
 		},
 		Partitions: []PartitionStats{},
 	}

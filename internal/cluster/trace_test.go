@@ -176,7 +176,7 @@ func TestChaosWithTracingUnderDebugReads(t *testing.T) {
 	if v := report.Violations(); v != nil {
 		t.Fatalf("chaos violations: %v\nreport: %+v", v, report)
 	}
-	if report.EventsDisabled || report.EventsCaptured == 0 {
+	if report.EventsCaptured == 0 {
 		t.Fatalf("events watcher captured nothing: %+v", report)
 	}
 	if report.EventCounts[trace.EvEpochBump] == 0 {

@@ -188,29 +188,9 @@ func (m *Manager) Checkpoint(partition uint32, epoch uint64, clean bool) error {
 		m.journalMu.Unlock()
 		return err
 	}
-	snap := &wal.Snapshot{
-		Partition: partition,
-		Epoch:     epoch,
-		LastLSN:   lsn,
-		TokenSeq:  m.tokenSeq.Load(),
-		Clean:     clean,
-	}
-	for name := range m.entries {
-		e := &m.entries[name]
-		e.mu.Lock()
-		if e.active {
-			snap.Sessions = append(snap.Sessions, wal.Session{
-				Name:     uint32(name),
-				Token:    e.token,
-				Deadline: e.deadline,
-			})
-		}
-		e.mu.Unlock()
-	}
-	for _, v := range m.views {
-		snap.Words = append(snap.Words, v.space.SnapshotWords()...)
-	}
+	snap := m.captureLocked(partition, epoch)
 	m.journalMu.Unlock()
+	snap.LastLSN, snap.Clean = lsn, clean
 	return m.journal.CompleteCheckpoint(snap)
 }
 
@@ -227,12 +207,16 @@ func (m *Manager) Checkpoint(partition uint32, epoch uint64, clean bool) error {
 func (m *Manager) ExportState(partition uint32, epoch uint64) *wal.Snapshot {
 	m.journalMu.Lock()
 	defer m.journalMu.Unlock()
-	snap := &wal.Snapshot{
-		Partition: partition,
-		Epoch:     epoch,
-		TokenSeq:  m.tokenSeq.Load(),
-		Clean:     true,
-	}
+	snap := m.captureLocked(partition, epoch)
+	snap.Clean = true
+	return snap
+}
+
+// captureLocked copies the token high-water mark, the session table and the
+// bitmap words into a snapshot: the capture Checkpoint and ExportState
+// share. Callers hold the checkpoint write barrier (journalMu).
+func (m *Manager) captureLocked(partition uint32, epoch uint64) *wal.Snapshot {
+	snap := &wal.Snapshot{Partition: partition, Epoch: epoch, TokenSeq: m.tokenSeq.Load()}
 	for name := range m.entries {
 		e := &m.entries[name]
 		e.mu.Lock()

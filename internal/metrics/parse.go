@@ -11,7 +11,7 @@ import (
 )
 
 // Sample is one parsed exposition line. The parser exists for the
-// repository's own scrapers (lactl, the chaos metrics watcher, CI
+// repository's own scrapers (lactl, the chaos watcher, CI
 // assertions) — it handles exactly what Registry.Render emits plus ordinary
 // Prometheus text, not the full OpenMetrics grammar.
 type Sample struct {

@@ -44,6 +44,9 @@ const (
 	// EvMigrationPlan records the steward deciding to move one partition
 	// (the plan's source, target and reason).
 	EvMigrationPlan = "migration_plan"
+	// EvMigrationStaged records a source shipping a fenced partition's
+	// snapshot to the target, which staged it for the cutover.
+	EvMigrationStaged = "migration_staged"
 	// EvMigrationCutover records a target installing a shipped snapshot and
 	// taking over a migrated partition without quarantine.
 	EvMigrationCutover = "migration_cutover"
@@ -109,19 +112,21 @@ type EventConfig struct {
 }
 
 // EventLog is one node's control-plane journal: a bounded in-memory ring,
-// an optional durable JSONL file, and a leveled line-log mirror. Emit is
-// cheap and safe for concurrent use; all methods tolerate a nil receiver.
+// lifetime totals per event type, an optional durable JSONL file, and a
+// leveled line-log mirror. Emit is cheap and safe for concurrent use; all
+// methods tolerate a nil receiver.
 type EventLog struct {
 	node  int
 	sink  func(format string, args ...any)
 	clock func() time.Time
 
-	mu    sync.Mutex
-	seq   uint64
-	ring  []Event
-	count int // total emitted; ring[count % len] is the next slot
-	file  *os.File
-	enc   *json.Encoder
+	mu     sync.Mutex
+	seq    uint64
+	ring   []Event
+	count  int               // total emitted; ring[count % len] is the next slot
+	totals map[string]uint64 // emitted per type, ring overwrites included
+	file   *os.File
+	enc    *json.Encoder
 }
 
 // NewEventLog builds an EventLog. A Dir that cannot be created degrades to
@@ -134,10 +139,11 @@ func NewEventLog(cfg EventConfig) *EventLog {
 		cfg.Clock = time.Now
 	}
 	l := &EventLog{
-		node:  cfg.Node,
-		sink:  cfg.Sink,
-		clock: cfg.Clock,
-		ring:  make([]Event, cfg.RingSize),
+		node:   cfg.Node,
+		sink:   cfg.Sink,
+		clock:  cfg.Clock,
+		ring:   make([]Event, cfg.RingSize),
+		totals: make(map[string]uint64),
 	}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err == nil {
@@ -182,6 +188,7 @@ func (l *EventLog) Emit(e Event) {
 	e.Node = l.node
 	l.ring[l.count%len(l.ring)] = e
 	l.count++
+	l.totals[e.Type]++
 	if l.enc != nil {
 		_ = l.enc.Encode(e) // best effort; a full disk must not stop the node
 	}
@@ -199,6 +206,18 @@ func (l *EventLog) Eventf(typ string, epoch uint64, partition int, cause, format
 	}
 	l.Emit(Event{Type: typ, Epoch: epoch, Partition: partition, Cause: cause,
 		Detail: fmt.Sprintf(format, args...)})
+}
+
+// Count returns how many events of type typ the log has journaled, the ones
+// the ring has since overwritten included: the one count of a transition
+// that a node's /stats and /metrics read.
+func (l *EventLog) Count(typ string) uint64 {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.totals[typ]
 }
 
 // Events snapshots the in-memory journal, oldest first.

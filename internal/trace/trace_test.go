@@ -252,6 +252,33 @@ func TestEventLogOrderingAndWrap(t *testing.T) {
 	}
 }
 
+// TestEventLogCountsOutliveRing: the per-type totals count every event the
+// log journaled, not only those the ring still holds.
+func TestEventLogCountsOutliveRing(t *testing.T) {
+	l := NewEventLog(EventConfig{RingSize: 4})
+	for i := 0; i < 10; i++ {
+		l.Eventf(EvMigrationCutover, uint64(i+1), i, "test", "cutover %d", i)
+	}
+	l.Eventf(EvMigrationAbort, 11, 0, "test", "abort")
+	if got := len(l.Events()); got != 4 {
+		t.Fatalf("ring holds %d events, want 4", got)
+	}
+	if got := l.Count(EvMigrationCutover); got != 10 {
+		t.Fatalf("Count(%s) = %d, want 10", EvMigrationCutover, got)
+	}
+	if got := l.Count(EvMigrationAbort); got != 1 {
+		t.Fatalf("Count(%s) = %d, want 1", EvMigrationAbort, got)
+	}
+	if got := l.Count(EvEpochBump); got != 0 {
+		t.Fatalf("Count(%s) = %d, want 0", EvEpochBump, got)
+	}
+	var none *EventLog
+	none.Emit(Event{Type: EvEpochBump})
+	if got := none.Count(EvEpochBump); got != 0 {
+		t.Fatalf("nil log counts %d, want 0", got)
+	}
+}
+
 // TestEventLogDurableFile: with a Dir, every event lands in events.jsonl and
 // survives Close.
 func TestEventLogDurableFile(t *testing.T) {

@@ -30,8 +30,6 @@ type ClientConfig struct {
 	// Conns is the number of pooled connections (calls are distributed
 	// round-robin; many callers pipelining on few conns is the sweet spot).
 	Conns int
-	// DialTimeout bounds connection establishment.
-	DialTimeout time.Duration
 	// CallTimeout bounds one request/response exchange. A timeout marks the
 	// connection dead (responses could no longer be matched reliably) and
 	// fails every call still pending on it. A call reads no clock and arms
@@ -50,10 +48,12 @@ type ClientConfig struct {
 	RedialBackoffMax time.Duration
 }
 
+// dialTimeout bounds connection establishment.
+const dialTimeout = 5 * time.Second
+
 func (c *ClientConfig) withDefaults() ClientConfig {
 	out := ClientConfig{
 		Conns:            1,
-		DialTimeout:      5 * time.Second,
 		CallTimeout:      10 * time.Second,
 		RedialBackoff:    25 * time.Millisecond,
 		RedialBackoffMax: 2 * time.Second,
@@ -63,9 +63,6 @@ func (c *ClientConfig) withDefaults() ClientConfig {
 	}
 	if c.Conns > 0 {
 		out.Conns = c.Conns
-	}
-	if c.DialTimeout > 0 {
-		out.DialTimeout = c.DialTimeout
 	}
 	if c.CallTimeout > 0 {
 		out.CallTimeout = c.CallTimeout
@@ -246,7 +243,7 @@ func (c *Client) connFor(i int) (*conn, error) {
 		c.backoffs.Add(1)
 		return nil, fmt.Errorf("%w: %s unreachable, retry in %v", ErrDialBackoff, c.addr, wait.Round(time.Millisecond))
 	}
-	nc, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
+	nc, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		s.nextDialAt = time.Now().Add(Backoff(c.cfg.RedialBackoff, c.cfg.RedialBackoffMax, s.fails, &c.jitter))
 		s.fails++
